@@ -353,12 +353,10 @@ type port struct {
 	ingressBusy sim.Time // sender-side wire occupancy
 	egressBusy  sim.Time // receiver-side wire occupancy (direct model)
 
-	// Output-queued model state: the bounded FIFO (a head-indexed slice
-	// ring: qhead..len(q) are live, dequeue is O(1), compaction is
-	// amortized over a full buffer's worth of frames) and whether the port
-	// is currently clocking a frame out.
-	q      []qent
-	qhead  int
+	// Output-queued model state: the bounded drop-tail FIFO, holding at
+	// most the switch's qcap frames, and whether the port is currently
+	// clocking a frame out.
+	q      sim.Queue[qent]
 	txBusy bool
 
 	// tr is the node's telemetry handle for egress-queue events (nil =
@@ -518,11 +516,8 @@ func (s *Switch) QueueLen(mac wire.MAC) int {
 	if !ok {
 		panic(fmt.Sprintf("fabric: unknown port %s", mac))
 	}
-	return p.qlen()
+	return p.q.Len()
 }
-
-// qlen is the live egress-queue depth.
-func (p *port) qlen() int { return len(p.q) - p.qhead }
 
 // Send injects a frame at the source port at the current virtual time. The
 // frame serializes onto the source link, crosses the switch, and reaches
@@ -684,18 +679,20 @@ func (s *Switch) scheduleEgress(src, dst *port, f *wire.Frame, at sim.Time) {
 // enqueueNow offers a frame to the egress queue: drop-tail when full,
 // otherwise FIFO admission; an idle port starts transmitting immediately.
 // Runs on p's shard.
+//
+//omxlint:hotpath
 func (s *Switch) enqueueNow(d *delivery) {
 	p, f := d.p, d.f
 	p.putDelivery(d)
-	if p.qlen() >= s.qcap {
+	if p.q.Len() >= s.qcap {
 		p.stats.Drops++
 		p.tr.Event(p.eng.Now(), trace.EvPortDrop, int64(p.stats.Drops))
 		f.Release()
 		return
 	}
-	p.q = append(p.q, qent{f: f, at: p.eng.Now()})
+	p.q.PushBack(qent{f: f, at: p.eng.Now()})
 	p.stats.Enqueued++
-	if n := p.qlen(); n > p.stats.MaxQueueFrames {
+	if n := p.q.Len(); n > p.stats.MaxQueueFrames {
 		p.stats.MaxQueueFrames = n
 	}
 	if !p.txBusy {
@@ -706,27 +703,10 @@ func (s *Switch) enqueueNow(d *delivery) {
 // txStart pops the egress queue's head and clocks it onto the port's link:
 // the frame arrives after serialization + propagation (+ jitter), and the
 // port frees up for the next queued frame after serialization alone.
+//
+//omxlint:hotpath
 func (s *Switch) txStart(p *port) {
-	e := p.q[p.qhead]
-	p.q[p.qhead] = qent{} // don't pin the frame from the dead prefix
-	p.qhead++
-	switch {
-	case p.qhead == len(p.q):
-		// Drained: reuse the backing array from the start.
-		p.q = p.q[:0]
-		p.qhead = 0
-	case p.qhead >= s.qcap:
-		// A full buffer's worth of dead prefix: compact once, keeping
-		// dequeue amortized O(1) and the slice bounded by 2*qcap.
-		n := copy(p.q, p.q[p.qhead:])
-		clearTail := p.q[n:]
-		for i := range clearTail {
-			clearTail[i] = qent{}
-		}
-		p.q = p.q[:n]
-		p.qhead = 0
-	}
-
+	e := p.q.PopFront()
 	now := p.eng.Now()
 	p.stats.QueueWait += now - e.at
 	p.txBusy = true
@@ -739,7 +719,7 @@ func (s *Switch) txStart(p *port) {
 // txDone frees the egress link and starts the next queued frame, if any.
 func (s *Switch) txDone(p *port) {
 	p.txBusy = false
-	if len(p.q) > 0 {
+	if p.q.Len() > 0 {
 		s.txStart(p)
 	}
 }

@@ -31,7 +31,7 @@ type Core struct {
 	irqDepth     int      // IRQ items submitted but not finished
 
 	curUser *userTask
-	userQ   []*userTask
+	userQ   sim.Queue[*userTask]
 
 	pollers    int // busy-polling ranks pinned here (prevent sleep)
 	sleeping   bool
@@ -217,12 +217,12 @@ func (c *Core) SubmitUserArg(dur sim.Time, fn func(any), arg any) {
 		c.wake(now)
 		t.remaining += c.host.P.WakeupLatency
 	}
-	if c.curUser == nil && c.irqDepth == 0 && len(c.userQ) == 0 {
+	if c.curUser == nil && c.irqDepth == 0 && c.userQ.Len() == 0 {
 		c.curUser = t
 		c.runUser(now)
 		return
 	}
-	c.userQ = append(c.userQ, t)
+	c.userQ.PushBack(t)
 }
 
 func (c *Core) runUser(now sim.Time) {
@@ -246,15 +246,13 @@ func (c *Core) userComplete(t *userTask) {
 	}
 }
 
+//omxlint:hotpath
 func (c *Core) startNextUser(now sim.Time) {
-	if len(c.userQ) == 0 {
+	if c.userQ.Len() == 0 {
 		c.maybeIdle(now)
 		return
 	}
-	c.curUser = c.userQ[0]
-	copy(c.userQ, c.userQ[1:])
-	c.userQ[len(c.userQ)-1] = nil
-	c.userQ = c.userQ[:len(c.userQ)-1]
+	c.curUser = c.userQ.PopFront()
 	c.runUser(now)
 }
 
@@ -313,7 +311,7 @@ func (c *Core) Poll(active bool) {
 func (c *Core) Host() *Host { return c.host }
 
 func (c *Core) Busy() bool {
-	return c.irqDepth > 0 || c.curUser != nil || len(c.userQ) > 0
+	return c.irqDepth > 0 || c.curUser != nil || c.userQ.Len() > 0
 }
 
 // Sleeping reports whether the core is in C1E.

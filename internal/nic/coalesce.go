@@ -144,7 +144,7 @@ func newCoalescer(cfg Config, q *rxQueue) coalescer {
 type rxQueue struct {
 	nic       *NIC
 	idx       int
-	completed []*RxDesc
+	completed sim.Queue[*RxDesc]
 	masked    bool
 	coal      coalescer
 
@@ -228,7 +228,7 @@ func (c *timeoutCoalescer) arm() {
 //omxlint:hotpath
 func (c *timeoutCoalescer) fireTimeout() {
 	c.count = 0
-	if len(c.q.completed) == 0 {
+	if c.q.completed.Len() == 0 {
 		return
 	}
 	c.q.nic.requestInterrupt(c.q, causeTimeout)
@@ -261,8 +261,8 @@ func (c *omxCoalescer) onDMAComplete(d *RxDesc, pending int) {
 }
 
 func (c *omxCoalescer) onBacklog() {
-	for _, d := range c.q.completed {
-		if d.Marked {
+	for i := 0; i < c.q.completed.Len(); i++ {
+		if c.q.completed.At(i).Marked {
 			c.raiseMarked()
 			return
 		}
@@ -472,7 +472,7 @@ func (c *feedbackCoalescer) fireObserved(cancelTimer bool) {
 		c.timer = nil
 	}
 	c.count = 0
-	if len(c.q.completed) == 0 {
+	if c.q.completed.Len() == 0 {
 		return
 	}
 	if !c.q.masked {
@@ -486,7 +486,7 @@ func (c *feedbackCoalescer) fireObserved(cancelTimer bool) {
 // waiting: arrival-to-interrupt for received frames, DMA-done-to-interrupt
 // for tx completions (which never arrived on the wire).
 func (c *feedbackCoalescer) sampleAge() {
-	d := c.q.completed[0]
+	d := c.q.completed.At(0)
 	ref := d.ArrivedAt
 	if d.Frame == nil {
 		ref = d.DMADoneAt

@@ -88,7 +88,7 @@ func (r *rig) planted(marked ...bool) {
 		d := r.nic.getDesc()
 		d.Marked = m
 		d.Queue = 0
-		q.completed = append(q.completed, d)
+		q.completed.PushBack(d)
 	}
 }
 
@@ -143,13 +143,11 @@ func TestStreamDeferralAccounting(t *testing.T) {
 			// Three marked completions with other DMAs pending: the burst is
 			// deferred exactly once...
 			for i := 0; i < 3; i++ {
-				q.completed = append(q.completed, r.nic.getDesc())
-				q.completed[len(q.completed)-1].Marked = true
+				r.planted(true)
 				c.onDMAComplete(marked, 2)
 			}
 			// ...and the quiet completion (pending == 0) raises the interrupt.
-			q.completed = append(q.completed, r.nic.getDesc())
-			q.completed[len(q.completed)-1].Marked = true
+			r.planted(true)
 			c.onDMAComplete(marked, 0)
 		})
 	}

@@ -144,7 +144,7 @@ func New(eng *sim.Engine, p *params.Params, h *host.Host, sw *fabric.Switch, mac
 			n.pollStep(q)
 		}
 		q.pollEndFn = func(any) {
-			if q.polled >= n.p.Host.NAPIBudget && len(q.completed) > 0 {
+			if q.polled >= n.p.Host.NAPIBudget && q.completed.Len() > 0 {
 				// Budget exhausted: NAPI reschedules the poll on the same
 				// core without re-enabling interrupts.
 				n.Stats.PollCycles++
@@ -153,7 +153,7 @@ func New(eng *sim.Engine, p *params.Params, h *host.Host, sw *fabric.Switch, mac
 				return
 			}
 			q.masked = false
-			if len(q.completed) > 0 {
+			if q.completed.Len() > 0 {
 				// Packets slipped in between the last pop and the unmask.
 				q.coal.onBacklog()
 			}
@@ -205,7 +205,7 @@ func (n *NIC) Strategy() string { return n.queues[0].coal.Name() }
 func (n *NIC) Backlog() int {
 	total := n.inflight
 	for _, q := range n.queues {
-		total += len(q.completed)
+		total += q.completed.Len()
 	}
 	return total
 }
@@ -266,7 +266,7 @@ func (n *NIC) dmaDone(d *RxDesc) {
 	n.inflight--
 	d.DMADoneAt = n.eng.Now()
 	q := n.queues[d.Queue]
-	q.completed = append(q.completed, d)
+	q.completed.PushBack(d)
 	q.coal.onDMAComplete(d, n.inflight)
 }
 
@@ -318,6 +318,8 @@ const (
 // pollStep is the NAPI poll loop: process up to budget packets, then close
 // the cycle and unmask. Each entry first retires the descriptor (and frame)
 // whose driver processing just completed.
+//
+//omxlint:hotpath
 func (n *NIC) pollStep(q *rxQueue) {
 	if d := q.cur; d != nil {
 		q.cur = nil
@@ -326,14 +328,11 @@ func (n *NIC) pollStep(q *rxQueue) {
 		}
 		n.putDesc(d)
 	}
-	if len(q.completed) == 0 || q.polled >= n.p.Host.NAPIBudget {
+	if q.completed.Len() == 0 || q.polled >= n.p.Host.NAPIBudget {
 		q.pollCore.SubmitIRQArg(n.p.Host.NAPIPollEnd, false, q.pollEndFn, nil)
 		return
 	}
-	d := q.completed[0]
-	copy(q.completed, q.completed[1:])
-	q.completed[len(q.completed)-1] = nil
-	q.completed = q.completed[:len(q.completed)-1]
+	d := q.completed.PopFront()
 	n.Stats.PacketsPolled++
 	q.cur = d
 	q.polled++
@@ -368,7 +367,7 @@ func (n *NIC) txWire(f *wire.Frame) {
 	d.TxDone = true
 	d.Queue = q.idx
 	d.DMADoneAt = n.eng.Now()
-	q.completed = append(q.completed, d)
+	q.completed.PushBack(d)
 	q.coal.onDMAComplete(d, n.inflight)
 }
 

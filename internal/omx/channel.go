@@ -41,8 +41,8 @@ type channel struct {
 	// exponential backoff and the MaxResends give-up.
 	nextSeq        uint32
 	firstUnacked   uint32
-	txq            []*txPacket // waiting for window
-	retained       []*txPacket // sent, not yet acked
+	txq            sim.Queue[*txPacket] // waiting for window
+	retained       sim.Queue[*txPacket] // sent, not yet acked, in seq order
 	resendTimer    *sim.Event
 	resendAttempts int
 
@@ -63,7 +63,7 @@ type channel struct {
 	// Medium send slots: concurrent mediums per channel are bounded by
 	// the endpoint's send-ring capacity; excess sends queue here.
 	mediumActive  int
-	mediumPending []*sendOp
+	mediumPending sim.Queue[*sendOp]
 
 	// Timer callbacks, bound once at construction.
 	resendFn       func()
@@ -111,7 +111,7 @@ func newChannel(ep *Endpoint, remote Addr) *channel {
 	c.kernelAckFn = func() {
 		c.ackTimer = nil
 		p := c.stack().p
-		if len(c.ep.ring) < p.Proto.EventRingEntries/16 {
+		if c.ep.ring.Len() < p.Proto.EventRingEntries/16 {
 			if c.recvNext != c.ackedTo {
 				c.sendAck(false, c.recvNext)
 			}
@@ -150,18 +150,17 @@ func (c *channel) send(f *wire.Frame, fn func(any), arg any) {
 	pk := c.stack().getTx(f, c.nextSeq, fn, arg)
 	f.Header.Seq = pk.seq
 	c.nextSeq++
-	c.txq = append(c.txq, pk)
+	c.txq.PushBack(pk)
 	c.pump()
 }
 
 // pump transmits queued packets while the window allows.
+//
+//omxlint:hotpath
 func (c *channel) pump() {
-	for len(c.txq) > 0 && c.inWindow(c.txq[0].seq) {
-		pk := c.txq[0]
-		copy(c.txq, c.txq[1:])
-		c.txq[len(c.txq)-1] = nil
-		c.txq = c.txq[:len(c.txq)-1]
-		c.retained = append(c.retained, pk)
+	for c.txq.Len() > 0 && c.inWindow(c.txq.At(0).seq) {
+		pk := c.txq.PopFront()
+		c.retained.PushBack(pk)
 		// One reference travels the wire; the retained one stays here.
 		pk.frame.Ref()
 		c.stack().sendFrame(pk.frame)
@@ -173,7 +172,7 @@ func (c *channel) pump() {
 }
 
 func (c *channel) armResend() {
-	if len(c.retained) == 0 {
+	if c.retained.Len() == 0 {
 		if c.resendTimer != nil {
 			c.resendTimer.Cancel()
 			c.resendTimer = nil
@@ -220,9 +219,9 @@ func (c *channel) retransmit() {
 		return
 	}
 	c.resendAttempts++
-	for _, pk := range c.retained {
+	for i := 0; i < c.retained.Len(); i++ {
 		s.Stats.Retransmits++
-		s.sendFrame(s.pool.Clone(pk.frame))
+		s.sendFrame(s.pool.Clone(c.retained.At(i).frame))
 	}
 	c.armResend()
 }
@@ -275,28 +274,25 @@ func (c *channel) teardown(err error) {
 		c.connectTry = nil
 	}
 	c.connectCbs = nil
-	for _, pk := range c.retained {
+	for c.retained.Len() > 0 {
 		// Handed to the NIC already: the handoff callback ran at pump
 		// time, only the retention reference remains.
+		pk := c.retained.PopFront()
 		pk.frame.Release()
 		s.putTx(pk)
 	}
-	c.retained = c.retained[:0]
-	for len(c.txq) > 0 {
-		pk := c.txq[0]
-		copy(c.txq, c.txq[1:])
-		c.txq[len(c.txq)-1] = nil
-		c.txq = c.txq[:len(c.txq)-1]
+	for c.txq.Len() > 0 {
+		pk := c.txq.PopFront()
 		c.failSend(pk.frame, pk.fn, pk.arg, err)
 		s.putTx(pk)
 	}
-	for _, op := range c.mediumPending {
+	for c.mediumPending.Len() > 0 {
+		op := c.mediumPending.PopFront()
 		if op.h != nil {
 			op.h.fail(err)
 		}
 		c.ep.putOp(op)
 	}
-	c.mediumPending = nil
 }
 
 // failSend completes a packet's handoff callback with err instead of
@@ -321,6 +317,9 @@ func (c *channel) failSend(f *wire.Frame, fn func(any), arg any, err error) {
 }
 
 // onAck processes a cumulative ack: cum is the peer's next-expected seq.
+// pump retains packets in seq order, so the acked ones are a prefix.
+//
+//omxlint:hotpath
 func (c *channel) onAck(cum uint32) {
 	s := c.stack()
 	s.Stats.AcksReceived++
@@ -329,19 +328,11 @@ func (c *channel) onAck(cum uint32) {
 	}
 	c.firstUnacked = cum
 	c.resendAttempts = 0 // ack progress: the peer is alive, backoff resets
-	keep := c.retained[:0]
-	for _, pk := range c.retained {
-		if int32(pk.seq-cum) >= 0 {
-			keep = append(keep, pk)
-			continue
-		}
+	for c.retained.Len() > 0 && int32(c.retained.At(0).seq-cum) < 0 {
+		pk := c.retained.PopFront()
 		pk.frame.Release() // retention reference
 		s.putTx(pk)
 	}
-	for i := len(keep); i < len(c.retained); i++ {
-		c.retained[i] = nil
-	}
-	c.retained = keep
 	if c.resendTimer != nil {
 		c.resendTimer.Cancel()
 		c.resendTimer = nil
@@ -447,13 +438,11 @@ func (c *channel) sendAck(fromApp bool, seq uint32) {
 
 // mediumDone releases the caller's medium send slot, handing it to the
 // next queued medium if any.
+//
+//omxlint:hotpath
 func (c *channel) mediumDone() {
-	if len(c.mediumPending) > 0 {
-		next := c.mediumPending[0]
-		copy(c.mediumPending, c.mediumPending[1:])
-		c.mediumPending[len(c.mediumPending)-1] = nil
-		c.mediumPending = c.mediumPending[:len(c.mediumPending)-1]
-		c.ep.emitMediumFrags(next) // the slot passes directly to the next message
+	if c.mediumPending.Len() > 0 {
+		c.ep.emitMediumFrags(c.mediumPending.PopFront()) // the slot passes directly to the next message
 		return
 	}
 	c.mediumActive--

@@ -66,10 +66,8 @@ func (e *Endpoint) Close() {
 	}
 
 	// Posted receives that can no longer match anything.
-	posted := e.posted
-	e.posted = nil
-	for _, rh := range posted {
-		rh.fail(ErrClosed)
+	for e.posted.Len() > 0 {
+		e.posted.PopFront().fail(ErrClosed)
 	}
 
 	delete(e.stack.endpoints, e.ID)

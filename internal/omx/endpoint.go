@@ -153,13 +153,13 @@ type Endpoint struct {
 	nextMsgID uint32
 
 	// Event ring from driver to library.
-	ring         []*event
+	ring         sim.Queue[*event]
 	lastWriter   int
 	pickupActive bool
 
 	// Library-level matching.
-	posted     []*RecvHandle
-	unexpected []*unexpMsg
+	posted     sim.Queue[*RecvHandle]
+	unexpected sim.Queue[*unexpMsg]
 
 	// Library-level medium reassembly, keyed by (source, message id).
 	reasm map[pullKey]*mediumReasm
@@ -346,11 +346,11 @@ func (e *Endpoint) Irecv(match, mask uint64, buf []byte, capacity int, onDone fu
 
 // matchOrPost tries the unexpected queue, then appends to the posted queue.
 func (e *Endpoint) matchOrPost(rh *RecvHandle) {
-	for i, u := range e.unexpected {
-		if !rh.matches(u.match) {
+	for i := 0; i < e.unexpected.Len(); i++ {
+		if !rh.matches(e.unexpected.At(i).match) {
 			continue
 		}
-		e.unexpected = append(e.unexpected[:i], e.unexpected[i+1:]...)
+		u := e.unexpected.RemoveAt(i)
 		switch u.kind {
 		case evEager:
 			// Copy out of the unexpected buffer in user context.
@@ -363,7 +363,7 @@ func (e *Endpoint) matchOrPost(rh *RecvHandle) {
 		}
 		return
 	}
-	e.posted = append(e.posted, rh)
+	e.posted.PushBack(rh)
 }
 
 func deliverEager(rh *RecvHandle, src Addr, match uint64, data []byte, size int) {
@@ -435,7 +435,7 @@ func (e *Endpoint) mediumPost(op *sendOp) {
 	op.ch = ch
 	if ch.mediumActive >= e.stack.p.Proto.MediumInflight {
 		// The endpoint's send ring has no free medium slot: queue.
-		ch.mediumPending = append(ch.mediumPending, op)
+		ch.mediumPending.PushBack(op)
 		return
 	}
 	ch.mediumActive++
@@ -582,42 +582,40 @@ func cloneData(d []byte) []byte {
 // library pickup chain. Returns false when the ring is full. The ring takes
 // ownership of ev; it is recycled once the library applies it.
 func (e *Endpoint) postEvent(ev *event) bool {
-	if len(e.ring) >= e.stack.p.Proto.EventRingEntries {
+	if e.ring.Len() >= e.stack.p.Proto.EventRingEntries {
 		e.stack.Stats.EventRingFull++
 		e.putEvent(ev)
 		return false
 	}
-	e.ring = append(e.ring, ev)
+	e.ring.PushBack(ev)
 	e.kickPickup()
 	return true
 }
 
 func (e *Endpoint) ringHasSpace() bool {
-	return len(e.ring) < e.stack.p.Proto.EventRingEntries
+	return e.ring.Len() < e.stack.p.Proto.EventRingEntries
 }
 
 func (e *Endpoint) kickPickup() {
-	if e.pickupActive || len(e.ring) == 0 {
+	if e.pickupActive || e.ring.Len() == 0 {
 		return
 	}
 	e.pickupActive = true
 	cost := e.stack.p.Lib.Progress
-	if len(e.ring) > 0 && e.ring[0].writerCore != e.core.ID {
+	if e.ring.Len() > 0 && e.ring.At(0).writerCore != e.core.ID {
 		// The event ring's cache lines were last written by another core.
 		cost += e.stack.p.Host.CacheBounce
 	}
 	e.core.SubmitUserArg(cost, e.popOneFn, nil)
 }
 
+//omxlint:hotpath
 func (e *Endpoint) popOne() {
-	if len(e.ring) == 0 {
+	if e.ring.Len() == 0 {
 		e.pickupActive = false
 		return
 	}
-	ev := e.ring[0]
-	copy(e.ring, e.ring[1:])
-	e.ring[len(e.ring)-1] = nil
-	e.ring = e.ring[:len(e.ring)-1]
+	ev := e.ring.PopFront()
 
 	p := e.stack.p
 	cost := p.Lib.EventPop
@@ -655,20 +653,24 @@ func (e *Endpoint) popOne() {
 }
 
 // peekMatch returns the first posted receive matching m without removing it.
+//
+//omxlint:hotpath
 func (e *Endpoint) peekMatch(m uint64) *RecvHandle {
-	for _, rh := range e.posted {
-		if rh.matches(m) {
+	for i := 0; i < e.posted.Len(); i++ {
+		if rh := e.posted.At(i); rh.matches(m) {
 			return rh
 		}
 	}
 	return nil
 }
 
+// takeMatch removes and returns the first posted receive matching m.
+//
+//omxlint:hotpath
 func (e *Endpoint) takeMatch(m uint64) *RecvHandle {
-	for i, rh := range e.posted {
-		if rh.matches(m) {
-			e.posted = append(e.posted[:i], e.posted[i+1:]...)
-			return rh
+	for i := 0; i < e.posted.Len(); i++ {
+		if e.posted.At(i).matches(m) {
+			return e.posted.RemoveAt(i)
 		}
 	}
 	return nil
@@ -687,7 +689,7 @@ func (e *Endpoint) applyEvent(ev *event) {
 			return
 		}
 		e.stack.Stats.UnexpectedMsgs++
-		e.unexpected = append(e.unexpected, &unexpMsg{
+		e.unexpected.PushBack(&unexpMsg{
 			kind: evEager, src: ev.src, match: ev.match, data: ev.data, size: ev.size,
 		})
 	case evMediumFrag:
@@ -698,7 +700,7 @@ func (e *Endpoint) applyEvent(ev *event) {
 			return
 		}
 		e.stack.Stats.UnexpectedMsgs++
-		e.unexpected = append(e.unexpected, &unexpMsg{
+		e.unexpected.PushBack(&unexpMsg{
 			kind: evRendezvous, src: ev.src, match: ev.match, size: ev.size, msgID: ev.msgID,
 		})
 	case evPullDone:
@@ -761,7 +763,7 @@ func (e *Endpoint) applyMediumFrag(ev *event) {
 		return
 	}
 	e.stack.Stats.UnexpectedMsgs++
-	e.unexpected = append(e.unexpected, &unexpMsg{
+	e.unexpected.PushBack(&unexpMsg{
 		kind: evEager, src: r.src, match: r.match, data: r.data, size: r.total,
 	})
 }

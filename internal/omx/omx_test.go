@@ -230,18 +230,96 @@ func TestMatchingMask(t *testing.T) {
 	}
 }
 
+// TestMatchingIsFIFO checks MX matching order on deep queues: the earliest
+// posted matching receive wins, and unexpected messages match in arrival
+// order. Receives and messages alternate two tags, and all of tag 1 is
+// matched before any of tag 2, so each match takes an entry from inside
+// the queue, on either side of its middle. Between rounds the queue keeps
+// its unmatched tag-2 half and takes the next 64 entries, so it wraps and
+// grows.
 func TestMatchingIsFIFO(t *testing.T) {
-	r := defaultRig(t)
-	var order []int
-	r.eng.After(0, func() {
-		r.b.Irecv(1, ^uint64(0), nil, 64, func(*RecvHandle) { order = append(order, 0) })
-		r.b.Irecv(1, ^uint64(0), nil, 64, func(*RecvHandle) { order = append(order, 1) })
-		r.a.Isend(r.b.Addr(), 1, nil, 8, nil)
-		r.a.Isend(r.b.Addr(), 1, nil, 8, nil)
-	})
-	r.eng.Run()
-	if len(order) != 2 || order[0] != 0 || order[1] != 1 {
-		t.Fatalf("posted receives completed out of order: %v", order)
+	const (
+		perRound = 64
+		tagMask  = 0xFFFF_FFFF // receives match the tag; the high bits number the message
+	)
+	for _, tc := range []struct {
+		name       string
+		rounds     int
+		unexpected bool // messages arrive before the receives are posted
+	}{
+		{"posted", 1, false},
+		{"posted-wrapping", 3, false},
+		{"unexpected", 1, true},
+		{"unexpected-wrapping", 3, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := defaultRig(t)
+			type recv struct {
+				tag, idx int // idx-th receive posted for tag
+				rh       *RecvHandle
+			}
+			var recvs []*recv
+			var done []*recv
+			posted := map[int]int{}
+			post := func(tag int) {
+				rc := &recv{tag: tag, idx: posted[tag]}
+				posted[tag]++
+				rc.rh = r.b.Irecv(uint64(tag), tagMask, nil, 64, func(*RecvHandle) { done = append(done, rc) })
+				recvs = append(recvs, rc)
+			}
+			sent := map[int]int{}
+			send := func(tag int) {
+				r.a.Isend(r.b.Addr(), uint64(sent[tag])<<32|uint64(tag), nil, 8, nil)
+				sent[tag]++
+			}
+			// The side that goes first in each round queues perRound
+			// entries alternating tags 1 and 2; the other side then
+			// matches the round's tag-1 half. All tag-2 matches come last.
+			first, second := post, send
+			if tc.unexpected {
+				first, second = send, post
+			}
+			for round := range tc.rounds {
+				at := sim.Time(round) * 2 * sim.Millisecond
+				r.eng.Schedule(at, func() {
+					for i := range perRound {
+						first(1 + i%2)
+					}
+				})
+				r.eng.Schedule(at+sim.Millisecond, func() {
+					for range perRound / 2 {
+						second(1)
+					}
+				})
+			}
+			r.eng.Schedule(sim.Time(tc.rounds)*2*sim.Millisecond, func() {
+				for range tc.rounds * perRound / 2 {
+					second(2)
+				}
+			})
+			r.eng.Run()
+
+			if len(done) != len(recvs) {
+				t.Fatalf("%d of %d receives completed", len(done), len(recvs))
+			}
+			completed := map[int]int{}
+			for _, rc := range done {
+				if rc.idx != completed[rc.tag] {
+					t.Fatalf("tag %d: receive %d completed as number %d", rc.tag, rc.idx, completed[rc.tag])
+				}
+				completed[rc.tag]++
+				if want := uint64(rc.idx)<<32 | uint64(rc.tag); rc.rh.MatchV != want {
+					t.Fatalf("tag %d: receive %d matched message %#x, want %#x", rc.tag, rc.idx, rc.rh.MatchV, want)
+				}
+			}
+			want := uint64(0)
+			if tc.unexpected {
+				want = uint64(tc.rounds * perRound)
+			}
+			if got := r.stackB.Stats.UnexpectedMsgs; got != want {
+				t.Errorf("UnexpectedMsgs = %d, want %d", got, want)
+			}
+		})
 	}
 }
 

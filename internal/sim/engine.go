@@ -52,6 +52,14 @@
 // differential testing; both schedulers pop live events in the identical
 // (at, pri, seq) total order, so reports are bit-identical under either —
 // the determinism argument lives with the Wheel type.
+//
+// # Per-packet queues
+//
+// Every per-packet FIFO of the model — NIC completion rings, core run
+// queues, Open-MX event rings, match lists and send windows, switch egress
+// queues — is a Queue: one power-of-two ring, O(1) at both ends, with an
+// order-preserving RemoveAt for MX matching and no allocation once a queue
+// has reached its working depth.
 package sim
 
 import (
