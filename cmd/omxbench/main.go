@@ -19,10 +19,6 @@
 //	omxbench -bench -quick -benchout dir -benchreps 3       # best of 3
 //	omxbench -bench -quick -baseline bench/BENCH_baseline.json  # fail >20% allocs/op, warn >10% ns/op
 //	omxbench -bench -quick -baseline ... -benchsummary "$GITHUB_STEP_SUMMARY"  # Markdown table for CI
-//
-// Every command accepts -sched wheel|heap to select the event scheduler
-// (the O(1) timing wheel is the default; the legacy 4-ary heap is kept for
-// differential runs — reports are bit-identical under either).
 package main
 
 import (
@@ -53,17 +49,11 @@ func main() {
 	baseline := flag.String("baseline", "", "baseline BENCH_all.json to gate allocs/op against (bench mode)")
 	maxRegress := flag.Float64("maxregress", 0.20, "allowed fractional allocs/op regression vs baseline")
 	maxTimeRegress := flag.Float64("maxtimeregress", 0.10, "ns/op regression vs baseline that triggers a warning")
-	sched := cliflag.Sched()
 	par := cliflag.Par()
 	summary := flag.String("benchsummary", "", "write a Markdown baseline-comparison table to this file (bench mode)")
 	traceDir := flag.String("trace-dir", "", "write per-experiment telemetry here: <id>.trace.json timelines and (with -sample) <id>.series.csv")
 	sampleSpec := flag.String("sample", "", "virtual-time metric sampling interval for -trace-dir series, e.g. 200us ('' = events only)")
 	flag.Parse()
-
-	if err := cliflag.ApplySched(*sched); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 
 	if *list {
 		for _, id := range exp.IDs() {

@@ -1,9 +1,9 @@
 // Command omxserve runs the simulator as a fault-tolerant service: an
 // HTTP/JSON control plane over the sweep and tune executors with job
-// supervision (deadlines, cancellation, panic isolation, bounded
-// retries), graceful degradation (bounded admission queue shedding with
-// 429, per-client caps, SIGTERM drain), and a crash-safe
-// content-addressed result cache shared with the offline CLIs.
+// supervision (deadlines, cancellation, panic isolation), graceful
+// degradation (bounded admission queue shedding with 429, per-client
+// caps, SIGTERM drain), and a crash-safe content-addressed result cache
+// shared with the offline CLIs.
 //
 // Examples:
 //
@@ -53,15 +53,10 @@ func run() int {
 	executors := flag.Int("executors", 1, "jobs run concurrently (each parallelizes internally via -workers)")
 	workers := flag.Int("workers", 0, "worker goroutines per job (0 = GOMAXPROCS)")
 	par := cliflag.Par()
-	retries := flag.Int("retries", 2, "max retries per job on transient failures")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "SIGTERM drain deadline before running jobs are force-cancelled")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof profiling handlers under /debug/pprof/")
-	sched := cliflag.Sched()
 	flag.Parse()
 
-	if err := cliflag.ApplySched(*sched); err != nil {
-		return fail(err)
-	}
 	logger := log.New(os.Stderr, "omxserve: ", log.LstdFlags)
 
 	var cache *serve.Cache
@@ -87,7 +82,6 @@ func run() int {
 		Workers:      *workers,
 		Par:          *par,
 		Executors:    *executors,
-		Retry:        serve.RetryPolicy{Max: *retries},
 		Log:          logger,
 	})
 	var handler http.Handler = srv

@@ -51,16 +51,10 @@ func main() {
 	faultFlags := cliflag.Fault()
 	burst := flag.Float64("burst", 1, "loss burstiness: 1 applies -drop as a uniform static fault; > 1 moves -drop into a bursty Gilbert-Elliott scenario of this mean episode length")
 	flap := flag.String("flap", "", "link flaps as comma-separated node:down[:up] Go-duration offsets ('3:10ms:12ms'; no up = down forever)")
-	sched := cliflag.Sched()
 	par := cliflag.Par()
 	traceFlags := cliflag.Trace()
 	jsonOut := flag.Bool("json", false, "emit the result as JSON instead of text")
 	flag.Parse()
-
-	if err := cliflag.ApplySched(*sched); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 
 	st, err := cliflag.Strategy(*strategy)
 	if err != nil {
@@ -149,7 +143,7 @@ func main() {
 
 	switch *workload {
 	case "pingpong":
-		out, err := sweep.RunPingPongLoadedOutcome(cfg, []int{*size}, *iters, sweep.Background{Streams: *bg})
+		out, err := sweep.RunPingPong(cfg, []int{*size}, *iters, sweep.Background{Streams: *bg})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -194,6 +188,10 @@ func main() {
 				units.FormatBytes(*size), units.FormatRate(rate), st, *delay, *irq)
 		})
 	case "nas":
+		if len(*class) != 1 {
+			fmt.Fprintf(os.Stderr, "bad -class %q: want one letter (S W A B C)\n", *class)
+			os.Exit(1)
+		}
 		wl, err := nas.Get(*bench, (*class)[0], *ranks)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

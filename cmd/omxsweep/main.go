@@ -58,13 +58,8 @@ func run() int {
 	csvOut := flag.String("csvout", "", "CSV output path ('-' = stdout, '' = none)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
-	sched := cliflag.Sched()
 	traceFlags := cliflag.Trace()
 	flag.Parse()
-
-	if err := cliflag.ApplySched(*sched); err != nil {
-		return fail(err)
-	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

@@ -56,13 +56,9 @@ func run() int {
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	jsonOut := flag.Bool("json", false, "emit the full outcome as JSON instead of text")
 	cacheDir := cliflag.CacheDir()
-	sched := cliflag.Sched()
 	traceFlags := cliflag.Trace()
 	flag.Parse()
 
-	if err := cliflag.ApplySched(*sched); err != nil {
-		return fail(err)
-	}
 	sts, err := cliflag.Strategies(*strategies)
 	if err != nil {
 		return fail(err)

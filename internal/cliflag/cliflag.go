@@ -1,15 +1,16 @@
 // Package cliflag centralizes the flag vocabulary shared by the omx*
-// commands (omxbench, omxsim, omxsweep, omxtune): the -sched scheduler
-// selector and the parsers for strategy, delay, IRQ-policy, and numeric
-// list flags. Before this package each command carried its own copy and
-// they had already drifted; a flag spelling accepted by one command is now
-// accepted by all of them.
+// commands (omxbench, omxsim, omxsweep, omxtune, omxserve): the -par,
+// service, fault and trace flags, and the parsers for strategy, delay,
+// IRQ-policy, and numeric list flags. Before this package each command
+// carried its own copy and they had already drifted; a flag spelling
+// accepted by one command is now accepted by all of them.
 package cliflag
 
 import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -23,17 +24,6 @@ import (
 	"openmxsim/internal/sweep"
 	"openmxsim/internal/trace"
 )
-
-// Sched registers the canonical -sched flag on the default flag set.
-func Sched() *string {
-	return flag.String("sched", "wheel", "event scheduler: wheel (timing wheel, default) | heap (legacy 4-ary heap)")
-}
-
-// ApplySched installs the named scheduler as the process default; call it
-// with the parsed -sched value before building any cluster.
-func ApplySched(name string) error {
-	return sim.SetDefaultSchedulerByName(name)
-}
 
 // Par registers the canonical -par flag on the default flag set: the
 // number of shard engines per simulated cluster (cluster.Config
@@ -93,8 +83,20 @@ func Strategies(spec string) ([]nic.Strategy, error) {
 // into simulated time.
 func DelayUS(us int) sim.Time { return sim.Time(us) * sim.Microsecond }
 
+const (
+	// maxRangeDelays bounds the values one lo:hi:step range may expand
+	// to. omxserve parses request bodies before admission control, so an
+	// unbounded range would let one request allocate without limit.
+	maxRangeDelays = 4096
+	// maxDelayUS is the largest microsecond count whose nanosecond value
+	// fits in sim.Time.
+	maxDelayUS = math.MaxInt64 / int(sim.Microsecond)
+)
+
 // Delays parses a delay axis in microseconds: either a comma list
-// ("25,75") or an inclusive lo:hi:step range ("0:100:25").
+// ("25,75") or an inclusive lo:hi:step range ("0:100:25") of at most
+// maxRangeDelays values with 0 <= lo <= hi. No delay may exceed
+// maxDelayUS.
 func Delays(spec string) ([]sim.Time, error) {
 	if strings.Contains(spec, ":") {
 		parts := strings.Split(spec, ":")
@@ -104,12 +106,18 @@ func Delays(spec string) ([]sim.Time, error) {
 		lo, err1 := strconv.Atoi(parts[0])
 		hi, err2 := strconv.Atoi(parts[1])
 		step, err3 := strconv.Atoi(parts[2])
-		if err1 != nil || err2 != nil || err3 != nil || step <= 0 || hi < lo {
+		if err1 != nil || err2 != nil || err3 != nil || step <= 0 || lo < 0 || hi < lo || hi > maxDelayUS {
 			return nil, fmt.Errorf("bad delay range %q", spec)
 		}
-		var ds []sim.Time
-		for d := lo; d <= hi; d += step {
-			ds = append(ds, DelayUS(d))
+		// Iterate by count: with 0 <= lo <= hi neither hi-lo nor any
+		// lo+i*step <= hi can overflow, where d += step could wrap.
+		gaps := (hi - lo) / step
+		if gaps >= maxRangeDelays {
+			return nil, fmt.Errorf("bad delay range %q: more than %d delays", spec, maxRangeDelays)
+		}
+		ds := make([]sim.Time, gaps+1)
+		for i := range ds {
+			ds[i] = DelayUS(lo + i*step)
 		}
 		return ds, nil
 	}
@@ -118,6 +126,9 @@ func Delays(spec string) ([]sim.Time, error) {
 		v, err := strconv.Atoi(s)
 		if err != nil {
 			return nil, fmt.Errorf("bad delay %q: %v", s, err)
+		}
+		if v > maxDelayUS {
+			return nil, fmt.Errorf("bad delay %q: want at most %d us", s, maxDelayUS)
 		}
 		ds = append(ds, DelayUS(v))
 	}

@@ -23,7 +23,9 @@ func TestDelaysListAndRange(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Errorf("Delays range = %v, %v; want %v", got, err, want)
 	}
-	for _, bad := range []string{"1:2", "5:1:1", "0:10:0", "0:10:-1", "a,b", "1:b:3"} {
+	for _, bad := range []string{"1:2", "5:1:1", "0:10:0", "0:10:-1", "a,b", "1:b:3",
+		"-5:10:5", "0:4096:1", "0:9223372036854775807:1",
+		"9223372036854775000:9223372036854775807:1000", "9223372036854775807"} {
 		if _, err := Delays(bad); err == nil {
 			t.Errorf("Delays(%q) accepted", bad)
 		}

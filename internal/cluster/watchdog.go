@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -58,29 +57,10 @@ func (e *WedgeError) Error() string {
 // The interval check is a quiescent point (all shards parked), so
 // reading cross-shard counters here is safe at any parallelism.
 func (c *Cluster) RunWatched(w Watchdog) error {
-	return c.RunWatchedContext(context.Background(), w)
-}
-
-// RunWatchedContext is RunWatched under external supervision. The two
-// failure modes are deliberately distinct error types: a run the caller
-// cancelled (or whose deadline expired) returns an error wrapping the
-// context's — errors.Is against context.Canceled / DeadlineExceeded
-// works, errors.As against *WedgeError fails — while a genuine liveness
-// failure returns a *WedgeError exactly as RunWatched does. A supervisor
-// classifying failures for retry or alerting must never mistake a user's
-// cancel for a wedged simulation, and vice versa.
-//
-// Cancellation is observed at the window boundary (the same quiescent
-// point as the liveness check), so a cancelled run stops with all shards
-// parked and its per-window progress identical to an uncancelled run's.
-func (c *Cluster) RunWatchedContext(ctx context.Context, w Watchdog) error {
 	w = w.withDefaults()
 	last := c.progress()
 	idle := 0
 	for {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("cluster: run cancelled at t=%v: %w", c.Now(), err)
-		}
 		t, ok := c.peekTime()
 		if !ok {
 			return nil // all engines drained: normal completion

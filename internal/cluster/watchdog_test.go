@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -165,56 +164,5 @@ func TestScenarioComposesWithStaticFault(t *testing.T) {
 	}
 	if h == nil || !errors.Is(h.Err, omx.ErrGiveUp) {
 		t.Fatalf("static DropProb=1 under a scenario did not give up (h=%v)", h)
-	}
-}
-
-// TestRunWatchedContextCancelIsNotAWedge is the classification boundary:
-// an externally-cancelled run — even one making zero progress, the exact
-// signature a wedge check keys on — must surface the context's error, not
-// a *WedgeError, so supervisors never mislabel a user cancel as a
-// liveness failure (and never retry it as transient).
-func TestRunWatchedContextCancelIsNotAWedge(t *testing.T) {
-	// The same self-rearming no-progress timer TestRunWatchedCatchesWedge
-	// plants, but with the context cancelled before the watchdog's idle
-	// budget can expire.
-	c := New(Paper())
-	var spin func()
-	spin = func() { c.Eng.After(sim.Millisecond, spin) }
-	c.Eng.After(0, spin)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	err := c.RunWatchedContext(ctx, Watchdog{Interval: 10 * sim.Millisecond, Idle: 3})
-	if err == nil {
-		t.Fatal("cancelled run returned nil")
-	}
-	var we *WedgeError
-	if errors.As(err, &we) {
-		t.Fatalf("cancelled run surfaced a *WedgeError: %v", err)
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("error = %v, want context.Canceled in the chain", err)
-	}
-	if !strings.Contains(err.Error(), "cancelled") {
-		t.Errorf("error message %q does not say cancelled", err)
-	}
-}
-
-// TestRunWatchedContextWedgeStillFires: a live (never-cancelled) context
-// must not soften the watchdog — the genuine wedge still returns a
-// *WedgeError, and errors.Is against the context sentinels stays false.
-func TestRunWatchedContextWedgeStillFires(t *testing.T) {
-	c := New(Paper())
-	var spin func()
-	spin = func() { c.Eng.After(sim.Millisecond, spin) }
-	c.Eng.After(0, spin)
-
-	err := c.RunWatchedContext(context.Background(), Watchdog{Interval: 10 * sim.Millisecond, Idle: 3})
-	var we *WedgeError
-	if !errors.As(err, &we) {
-		t.Fatalf("RunWatchedContext = %v, want *WedgeError", err)
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("wedge error claims cancellation: %v", err)
 	}
 }

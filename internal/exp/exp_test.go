@@ -8,6 +8,7 @@ import (
 	"openmxsim/internal/cluster"
 	"openmxsim/internal/nic"
 	"openmxsim/internal/sim"
+	"openmxsim/internal/sweep"
 )
 
 var quick = Options{Seed: 1, Quick: true}
@@ -188,15 +189,16 @@ func TestAdaptiveHelpsLatencyMicrobenchmark(t *testing.T) {
 	// an idle ping-pong (traffic is sparse, delay converges to minimum).
 	cfgA := cluster.Paper()
 	cfgA.Strategy = nic.StrategyAdaptive
-	latA, err := pingPong(cfgA, []int{128}, 8)
+	outA, err := sweep.RunPingPong(cfgA, []int{128}, 8, sweep.Background{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfgT := cluster.Paper()
-	latT, err := pingPong(cfgT, []int{128}, 8)
+	outT, err := sweep.RunPingPong(cfgT, []int{128}, 8, sweep.Background{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	latA, latT := outA.Latency, outT.Latency
 	if latA[128] >= latT[128] {
 		t.Errorf("adaptive latency %v not below fixed-75us %v", latA[128], latT[128])
 	}

@@ -8,6 +8,7 @@ import (
 	"openmxsim/internal/nas"
 	"openmxsim/internal/nic"
 	"openmxsim/internal/sim"
+	"openmxsim/internal/sweep"
 	"openmxsim/internal/units"
 )
 
@@ -45,12 +46,12 @@ func Adaptive(opts Options) *Report {
 		cfg.Seed = opts.Seed
 		cfg.Parallelism = opts.Par
 		cfg.Strategy = st.strategy
-		m, err := pingPong(cfg, []int{128}, iters)
+		out, err := sweep.RunPingPong(cfg, []int{128}, iters, sweep.Background{})
 		if err != nil {
 			latRow = append(latRow, "err")
 			continue
 		}
-		latRow = append(latRow, us(m[128]))
+		latRow = append(latRow, us(out.Latency[128]))
 	}
 	rep.Rows = append(rep.Rows, latRow)
 
@@ -170,12 +171,12 @@ func Jumbo(opts Options) *Report {
 		p.Proto.MTU = mtu
 		p.Proto.PullReplyPayload = mtu
 		cfg.Params = p
-		m, err := pingPong(cfg, sizes, iters)
+		out, err := sweep.RunPingPong(cfg, sizes, iters, sweep.Background{})
 		if err != nil {
 			rep.Notes = append(rep.Notes, fmt.Sprintf("ERROR mtu %d: %v", mtu, err))
-			m = map[int]sim.Time{}
+			out.Latency = map[int]sim.Time{}
 		}
-		results[mtu] = m
+		results[mtu] = out.Latency
 	}
 	for _, size := range sizes {
 		rep.Rows = append(rep.Rows, []string{

@@ -119,17 +119,17 @@ func CongestedPingPong(opts Options) *Report {
 		cfg.Seed = opts.Seed
 		cfg.Parallelism = opts.Par
 		cfg.Strategy = st.strategy
-		base, _, _, err := sweep.RunPingPongLoaded(cfg, sizes, iters, sweep.Background{})
+		base, err := sweep.RunPingPong(cfg, sizes, iters, sweep.Background{})
 		if err != nil {
 			rep.Notes = append(rep.Notes, fmt.Sprintf("ERROR %s base: %v", st.name, err))
-			base = map[int]sim.Time{}
+			base.Latency = map[int]sim.Time{}
 		}
-		loaded, _, _, err := sweep.RunPingPongLoaded(cfg, sizes, iters, bg)
+		loaded, err := sweep.RunPingPong(cfg, sizes, iters, bg)
 		if err != nil {
 			rep.Notes = append(rep.Notes, fmt.Sprintf("ERROR %s loaded: %v", st.name, err))
-			loaded = map[int]sim.Time{}
+			loaded.Latency = map[int]sim.Time{}
 		}
-		cols[i] = col{base: base, loaded: loaded}
+		cols[i] = col{base: base.Latency, loaded: loaded.Latency}
 	}
 	for _, size := range sizes {
 		row := []string{units.FormatBytes(size)}

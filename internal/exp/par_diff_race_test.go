@@ -1,0 +1,8 @@
+//go:build race
+
+package exp
+
+// Under -race the full-registry parallelism differential is minutes of
+// runtime per sharded run, so TestReportsBitIdenticalAcrossParallelism
+// keeps to its -short subset and the race job stays fast.
+const fullDiffRegistry = false

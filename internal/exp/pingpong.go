@@ -13,14 +13,6 @@ import (
 // pingPongSizes is the Fig. 5/6 x-axis: 1 B to 1 MiB in powers of four.
 var pingPongSizes = []int{1, 4, 16, 64, 256, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20}
 
-// pingPong measures mean one-way transfer time per message size between
-// two ranks on different nodes. The harness itself is the canonical copy
-// in internal/sweep, shared with the parallel sweep executor.
-func pingPong(cfg cluster.Config, sizes []int, iters int) (map[int]sim.Time, error) {
-	res, _, _, err := sweep.RunPingPong(cfg, sizes, iters)
-	return res, err
-}
-
 type ppStrategy struct {
 	name     string
 	strategy nic.Strategy
@@ -43,12 +35,12 @@ func pingPongReport(id, title string, opts Options, strategies []ppStrategy, not
 		cfg.Seed = opts.Seed
 		cfg.Parallelism = opts.Par
 		cfg.Strategy = s.strategy
-		m, err := pingPong(cfg, pingPongSizes, iters)
+		out, err := sweep.RunPingPong(cfg, pingPongSizes, iters, sweep.Background{})
 		if err != nil {
 			rep.Notes = append(rep.Notes, fmt.Sprintf("ERROR %s: %v", s.name, err))
-			m = map[int]sim.Time{}
+			out.Latency = map[int]sim.Time{}
 		}
-		results[i] = m
+		results[i] = out.Latency
 	}
 	for _, s := range strategies[1:] {
 		rep.Header = append(rep.Header, s.name+"(norm)")

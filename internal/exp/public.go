@@ -5,15 +5,6 @@ import (
 	"openmxsim/internal/sim"
 )
 
-// PingPongLatency exposes the ping-pong harness: mean one-way transfer
-// time per message size between two ranks on different nodes.
-func PingPongLatency(cfg cluster.Config, sizes []int, iters int) (map[int]sim.Time, error) {
-	if iters <= 0 {
-		iters = 10
-	}
-	return pingPong(cfg, sizes, iters)
-}
-
 // MessageRate exposes the unidirectional stream harness: sustained
 // receiver-side message completions per second.
 func MessageRate(cfg cluster.Config, size int, warmup, measure sim.Time) float64 {

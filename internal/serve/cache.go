@@ -20,8 +20,8 @@ import (
 // spec (new Result fields, changed event ordering, new defaults) — the
 // old entries then simply stop matching and age out, instead of serving
 // stale bytes as if they were fresh execution. Execution-shape changes
-// that provably do not alter output (worker count, parallelism,
-// scheduler) must NOT bump it; the differential CI jobs are the proof.
+// that provably do not alter output (worker count, parallelism) must NOT
+// bump it; the differential CI jobs are the proof.
 const ResultsVersion = "omxsim-r10"
 
 // entryMagic versions the on-disk entry layout itself (header format),

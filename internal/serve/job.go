@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"openmxsim/internal/cluster"
 	"openmxsim/internal/sweep"
 )
 
@@ -27,7 +26,7 @@ func (s JobState) terminal() bool {
 	return s == JobDone || s == JobFailed || s == JobCancelled
 }
 
-// runFunc executes one job attempt: it returns the final result payload
+// runFunc executes one job: it returns the final result payload
 // (the exact bytes the offline CLI would emit) and feeds obs each
 // completed point. It must honor ctx at the between-points seam.
 type runFunc func(ctx context.Context, obs sweep.Observer) ([]byte, error)
@@ -46,8 +45,6 @@ type Job struct {
 	state     JobState
 	slotHeld  bool // true while the job counts against its client's cap
 	err       string
-	attempts  int
-	retries   int
 	cacheHit  bool
 	result    []byte
 	points    []sweep.Result
@@ -63,121 +60,14 @@ type JobStatus struct {
 	State    JobState `json:"state"`
 	CacheKey string   `json:"cache_key"`
 	Cached   bool     `json:"cached"`
-	Attempts int      `json:"attempts"`
-	Retries  int      `json:"retries"`
 	Points   int      `json:"points_done"`
 	Error    string   `json:"error,omitempty"`
 }
 
-// Transient marks an error worth retrying: the failure came from the
-// environment (filesystem hiccup, resource pressure), not from the
-// deterministic simulation — re-running the same spec can succeed.
-// Everything not wrapped in Transient is treated as permanent, because a
-// deterministic executor reproduces its own failures exactly.
-type Transient struct{ Err error }
-
-func (e *Transient) Error() string { return "transient: " + e.Err.Error() }
-func (e *Transient) Unwrap() error { return e.Err }
-
-// IsTransient reports whether err is marked retryable.
-func IsTransient(err error) bool {
-	var t *Transient
-	return errors.As(err, &t)
-}
-
-// errClass is the supervisor's failure taxonomy.
-type errClass int
-
-const (
-	classOK        errClass = iota
-	classCancelled          // user cancel / server drain: not a failure, never retried
-	classTimeout            // job deadline: failed, never retried (same spec, same wall)
-	classWedge              // liveness failure (*cluster.WedgeError): deterministic, never retried
-	classTransient          // environmental: retried with backoff, bounded
-	classPermanent          // everything else: deterministic, never retried
-)
-
-// classify maps an attempt's error to the supervisor's taxonomy. The
-// cancellation checks run first: RunWatchedContext guarantees a cancelled
-// run never surfaces as a *WedgeError, and this ordering keeps the same
-// promise for errors that wrap both.
-func classify(err error) errClass {
-	var we *cluster.WedgeError
-	switch {
-	case err == nil:
-		return classOK
-	case errors.Is(err, context.Canceled):
-		return classCancelled
-	case errors.Is(err, context.DeadlineExceeded):
-		return classTimeout
-	case errors.As(err, &we):
-		return classWedge
-	case IsTransient(err):
-		return classTransient
-	default:
-		return classPermanent
-	}
-}
-
-func (c errClass) String() string {
-	switch c {
-	case classOK:
-		return "ok"
-	case classCancelled:
-		return "cancelled"
-	case classTimeout:
-		return "timeout"
-	case classWedge:
-		return "wedged"
-	case classTransient:
-		return "transient"
-	default:
-		return "permanent"
-	}
-}
-
-// RetryPolicy bounds the transient-failure retry loop: at most Max
-// retries per job, exponentially backed off from Base and capped at Cap —
-// the same doubling-to-a-ceiling discipline the protocol layer's resend
-// path uses, at supervisor scale.
-type RetryPolicy struct {
-	Max  int
-	Base time.Duration
-	Cap  time.Duration
-}
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.Max == 0 {
-		p.Max = 2
-	}
-	if p.Base <= 0 {
-		p.Base = 100 * time.Millisecond
-	}
-	if p.Cap <= 0 {
-		p.Cap = 2 * time.Second
-	}
-	return p
-}
-
-// backoff returns the wait before retry attempt n (1-based), doubling
-// from Base and saturating at Cap.
-func (p RetryPolicy) backoff(n int) time.Duration {
-	d := p.Base
-	for i := 1; i < n; i++ {
-		d *= 2
-		if d >= p.Cap {
-			return p.Cap
-		}
-	}
-	if d > p.Cap {
-		d = p.Cap
-	}
-	return d
-}
-
-// runJob is the executor body for one job: per-attempt panic isolation,
-// classification, bounded backed-off retries for transients, and cache
-// commit on success. Runs on an executor goroutine.
+// runJob is the executor body for one job: panic isolation, mapping the
+// run's error onto the job's terminal state, and cache commit on success.
+// A deterministic executor reproduces its own failures exactly, so a
+// failed job is never re-run. Runs on an executor goroutine.
 func (s *Server) runJob(j *Job) {
 	ctx, cancel := s.jobContext(j)
 	if ctx == nil {
@@ -185,61 +75,34 @@ func (s *Server) runJob(j *Job) {
 	}
 	defer cancel(nil)
 
-	policy := s.cfg.Retry
-	for attempt := 1; ; attempt++ {
-		s.noteAttempt(j, attempt)
-		payload, err := s.runAttempt(ctx, j)
-		switch cls := classify(err); cls {
-		case classOK:
-			if cerr := s.cache.Put(j.Key, payload); cerr != nil {
-				// The result is in hand; a cache-commit failure costs a
-				// future hit, not this job.
-				s.logf("job %s: %v", j.ID, cerr)
-			}
-			s.finishJob(j, JobDone, payload, "")
-			return
-		case classCancelled:
-			s.finishJob(j, JobCancelled, nil, cancelMessage(ctx, err))
-			return
-		case classTimeout:
-			s.finishJob(j, JobFailed, nil, fmt.Sprintf("deadline %v exceeded: %v", s.cfg.JobTimeout, err))
-			return
-		case classTransient:
-			if attempt <= policy.Max && ctx.Err() == nil {
-				wait := policy.backoff(attempt)
-				s.logf("job %s: attempt %d failed (transient), retrying in %v: %v", j.ID, attempt, wait, err)
-				s.retriesTotal.Add(1)
-				s.noteRetry(j)
-				select {
-				case <-time.After(wait):
-					continue
-				case <-ctx.Done():
-					s.finishJob(j, JobCancelled, nil, cancelMessage(ctx, context.Cause(ctx)))
-					return
-				}
-			}
-			s.finishJob(j, JobFailed, nil, fmt.Sprintf("retry budget exhausted after %d attempts: %v", attempt, err))
-			return
-		default: // classWedge, classPermanent
-			s.finishJob(j, JobFailed, nil, fmt.Sprintf("%s: %v", cls, err))
-			return
+	payload, err := s.runIsolated(ctx, j)
+	switch {
+	case err == nil:
+		if cerr := s.cache.Put(j.Key, payload); cerr != nil {
+			// The result is in hand; a cache-commit failure costs a
+			// future hit, not this job.
+			s.logf("job %s: %v", j.ID, cerr)
 		}
+		s.finishJob(j, JobDone, payload, "")
+	case errors.Is(err, context.Canceled):
+		s.finishJob(j, JobCancelled, nil, cancelMessage(ctx, err))
+	case errors.Is(err, context.DeadlineExceeded):
+		s.finishJob(j, JobFailed, nil, fmt.Sprintf("deadline %v exceeded: %v", s.cfg.JobTimeout, err))
+	default:
+		s.finishJob(j, JobFailed, nil, err.Error())
 	}
 }
 
-// runAttempt executes one attempt with panic isolation: a panicking
-// simulation (or a bug in ours) fails this job and only this job — the
-// executor goroutine, the queue, and every other job keep going.
-func (s *Server) runAttempt(ctx context.Context, j *Job) (payload []byte, err error) {
+// runIsolated runs the job with panic isolation: a panicking simulation
+// (or a bug in ours) fails this job and only this job — the executor
+// goroutine, the queue, and every other job keep going.
+func (s *Server) runIsolated(ctx context.Context, j *Job) (payload []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.panicsTotal.Add(1)
 			err = fmt.Errorf("job panicked: %v", r)
 		}
 	}()
-	// Each attempt streams into a fresh point log so a retried job's
-	// stream replays only the attempt that counts.
-	s.resetPoints(j)
 	return j.run(ctx, func(r sweep.Result) { s.appendPoint(j, r) })
 }
 

@@ -6,9 +6,9 @@
 //
 //   - Job supervision: every job runs under its own context (deadline +
 //     cancellation, observed only at the executors' between-points seam,
-//     so per-point determinism is untouched), with per-attempt panic
-//     isolation and a transient/permanent/cancelled/wedged error taxonomy
-//     driving bounded, exponentially backed-off retries.
+//     so per-point determinism is untouched), with panic isolation. A job
+//     ends done, cancelled, or failed; a failed job is never re-run,
+//     because the deterministic executors reproduce their own failures.
 //   - Graceful degradation: a bounded admission queue sheds overload with
 //     429 + Retry-After instead of growing without bound, per-client
 //     in-flight caps keep one client from starving the rest, and Drain
@@ -20,7 +20,7 @@
 //     cache hit and a kill -9 at any instant is survivable.
 //   - Streaming and health: per-point results and their telemetry stream
 //     as NDJSON with client-disconnect handling, and /healthz, /readyz,
-//     /metricz expose liveness, readiness, and the queue/shed/retry/cache
+//     /metricz expose liveness, readiness, and the queue/shed/panic/cache
 //     counters.
 //
 // The package deliberately lives outside the simulation-visible set:
@@ -66,8 +66,6 @@ type Config struct {
 	// Executors is the number of jobs run concurrently (default 1: many
 	// clients share one warm executor; each job parallelizes internally).
 	Executors int
-	// Retry bounds the transient-failure retry loop.
-	Retry RetryPolicy
 	// Log receives supervision events; nil silences them.
 	Log *log.Logger
 }
@@ -88,7 +86,6 @@ func (c Config) withDefaults() Config {
 	if c.Workers < 0 {
 		c.Workers = 0
 	}
-	c.Retry = c.Retry.withDefaults()
 	return c
 }
 
@@ -112,7 +109,7 @@ type Server struct {
 	draining  bool
 
 	submittedTotal, shedQueueTotal, shedClientTotal atomic.Uint64
-	retriesTotal, panicsTotal, cacheHitJobs         atomic.Uint64
+	panicsTotal, cacheHitJobs                       atomic.Uint64
 	sampledPoints, seriesSamples                    atomic.Uint64
 }
 
@@ -232,6 +229,9 @@ func (r TuneRequest) Spec() (tune.Spec, error) {
 		DropProb:      r.Drop,
 		Burst:         r.Burst,
 		Seed:          r.Seed,
+	}
+	if spec.Size == 0 {
+		spec.Size = 128 // omxtune's -size default; tune.Spec reads 0 as 0 bytes
 	}
 	var err error
 	if spec.Strategies, err = cliflag.Strategies(r.Strategies); err != nil {
@@ -427,27 +427,6 @@ func (s *Server) jobContext(j *Job) (context.Context, context.CancelCauseFunc) {
 	return ctx, cancelCause
 }
 
-func (s *Server) noteAttempt(j *Job, attempt int) {
-	s.mu.Lock()
-	j.attempts = attempt
-	s.bumpLocked(j)
-	s.mu.Unlock()
-}
-
-func (s *Server) noteRetry(j *Job) {
-	s.mu.Lock()
-	j.retries++
-	s.bumpLocked(j)
-	s.mu.Unlock()
-}
-
-func (s *Server) resetPoints(j *Job) {
-	s.mu.Lock()
-	j.points = nil
-	s.bumpLocked(j)
-	s.mu.Unlock()
-}
-
 func (s *Server) appendPoint(j *Job, r sweep.Result) {
 	if n := len(r.Series); n > 0 {
 		s.sampledPoints.Add(1)
@@ -503,8 +482,6 @@ func (s *Server) statusLocked(j *Job) JobStatus {
 		State:    j.state,
 		CacheKey: j.Key,
 		Cached:   j.cacheHit,
-		Attempts: j.attempts,
-		Retries:  j.retries,
 		Points:   len(j.points),
 		Error:    j.err,
 	}
@@ -619,9 +596,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	sent := 0
 	for {
 		s.mu.Lock()
-		if sent > len(j.points) {
-			sent = 0 // a retry reset the log; replay the attempt that counts
-		}
 		fresh := append([]sweep.Result(nil), j.points[sent:]...)
 		state, errMsg, cached := j.state, j.err, j.cacheHit
 		updated := j.updated
@@ -680,7 +654,6 @@ type Metrics struct {
 	Submitted     uint64           `json:"submitted"`
 	ShedQueueFull uint64           `json:"shed_queue_full"`
 	ShedClientCap uint64           `json:"shed_client_cap"`
-	Retries       uint64           `json:"retries"`
 	Panics        uint64           `json:"panics"`
 	CacheHitJobs  uint64           `json:"cache_hit_jobs"`
 	// SampledPoints counts streamed results that carried a sampled metric
@@ -700,7 +673,6 @@ func (s *Server) MetricsSnapshot() Metrics {
 		Submitted:     s.submittedTotal.Load(),
 		ShedQueueFull: s.shedQueueTotal.Load(),
 		ShedClientCap: s.shedClientTotal.Load(),
-		Retries:       s.retriesTotal.Load(),
 		Panics:        s.panicsTotal.Load(),
 		CacheHitJobs:  s.cacheHitJobs.Load(),
 		SampledPoints: s.sampledPoints.Load(),

@@ -201,6 +201,20 @@ func TestServerSweepDifferential(t *testing.T) {
 }
 
 // TestServerTuneDifferential: same contract for the search executor.
+// TestTuneRequestSizeDefaultsLikeCLI: a tune body without "size" must
+// tune the same 128-byte workload as omxtune without -size, so the two
+// front ends produce the same bytes for the same flags.
+func TestTuneRequestSizeDefaultsLikeCLI(t *testing.T) {
+	spec, err := TuneRequest{}.Spec()
+	if err != nil || spec.Size != 128 {
+		t.Fatalf("TuneRequest{}.Spec() size = %d, %v; want 128 like omxtune -size", spec.Size, err)
+	}
+	spec, err = TuneRequest{Size: 4096}.Spec()
+	if err != nil || spec.Size != 4096 {
+		t.Fatalf("explicit size = %d, %v; want 4096", spec.Size, err)
+	}
+}
+
 func TestServerTuneDifferential(t *testing.T) {
 	req := TuneRequest{
 		Strategies: "timeout,openmx",
@@ -379,48 +393,22 @@ func TestServerPanicIsolation(t *testing.T) {
 	}
 }
 
-// TestServerTransientRetry: transient failures retry with backoff up to
-// the budget, then succeed; permanent failures never retry.
-func TestServerTransientRetry(t *testing.T) {
-	s, ts := newTestServer(t, Config{Retry: RetryPolicy{Max: 2, Base: time.Millisecond, Cap: 2 * time.Millisecond}})
-	attempts := 0
-	j := enqueueRaw(t, s, "c", "flaky-key", func(ctx context.Context, obs sweep.Observer) ([]byte, error) {
-		attempts++ // executor goroutine only; reads happen after terminal state
-		if attempts < 3 {
-			return nil, &Transient{Err: fmt.Errorf("synthetic I/O hiccup %d", attempts)}
-		}
-		return []byte("{}\n"), nil
-	})
-	fin := waitTerminal(t, ts, j.ID)
-	if fin.State != JobDone {
-		t.Fatalf("state = %s (%q), want done after retries", fin.State, fin.Error)
-	}
-	if fin.Attempts != 3 || fin.Retries != 2 {
-		t.Fatalf("attempts/retries = %d/%d, want 3/2", fin.Attempts, fin.Retries)
-	}
-
-	jp := enqueueRaw(t, s, "c", "perm-key", func(ctx context.Context, obs sweep.Observer) ([]byte, error) {
+// TestServerFailedJobRunsOnce: a job whose run returns an error ends
+// failed, carrying the error, after exactly one run — the executors are
+// deterministic, so re-running the same spec would fail the same way.
+func TestServerFailedJobRunsOnce(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	runs := 0
+	j := enqueueRaw(t, s, "c", "perm-key", func(ctx context.Context, obs sweep.Observer) ([]byte, error) {
+		runs++ // executor goroutine only; read after the terminal state
 		return nil, fmt.Errorf("deterministic failure")
 	})
-	finp := waitTerminal(t, ts, jp.ID)
-	if finp.State != JobFailed || finp.Retries != 0 {
-		t.Fatalf("permanent failure: state=%s retries=%d, want failed/0 (deterministic errors must not retry)", finp.State, finp.Retries)
-	}
-}
-
-// TestServerRetryBudgetExhausted: an always-transient job fails after
-// Max retries with a budget message.
-func TestServerRetryBudgetExhausted(t *testing.T) {
-	s, ts := newTestServer(t, Config{Retry: RetryPolicy{Max: 2, Base: time.Millisecond, Cap: time.Millisecond}})
-	j := enqueueRaw(t, s, "c", "doomed-key", func(ctx context.Context, obs sweep.Observer) ([]byte, error) {
-		return nil, &Transient{Err: fmt.Errorf("always down")}
-	})
 	fin := waitTerminal(t, ts, j.ID)
-	if fin.State != JobFailed || !strings.Contains(fin.Error, "retry budget exhausted") {
-		t.Fatalf("state = %s (%q), want failed with exhausted budget", fin.State, fin.Error)
+	if fin.State != JobFailed || !strings.Contains(fin.Error, "deterministic failure") {
+		t.Fatalf("state = %s (%q), want failed carrying the run's error", fin.State, fin.Error)
 	}
-	if fin.Attempts != 3 {
-		t.Fatalf("attempts = %d, want 3 (1 + 2 retries)", fin.Attempts)
+	if runs != 1 {
+		t.Fatalf("run function called %d times, want 1", runs)
 	}
 }
 

@@ -38,20 +38,19 @@
 //
 // # Scheduling
 //
-// The pending-event queue sits behind the Scheduler interface. The default
-// is a hierarchical timing wheel (see Wheel): a 4096-slot level at 1 ns
-// granularity and two 1024-slot levels at ~4 µs and ~4.2 ms — sized to the
-// simulation's dominant horizons, wire events a few ns..µs out and
-// coalescing timers tens of µs out — with a 4-ary overflow heap for events
-// beyond the ~4.3 s level-2 horizon. Scheduling is O(1) (bitwise slot placement plus an intrusive
-// list append) and dispatch is amortized O(1) (bitmap scans to the next
-// populated slot; same-instant bursts drain from the cursor's slot with no
-// rescan, so Engine.Step dispatches them back-to-back). Events cascade down
-// at most two levels as the clock approaches them. The legacy single 4-ary
-// min-heap remains available via NewHeapScheduler / SetDefaultScheduler for
-// differential testing; both schedulers pop live events in the identical
-// (at, pri, seq) total order, so reports are bit-identical under either —
-// the determinism argument lives with the Wheel type.
+// The pending-event queue is a hierarchical timing wheel (see Wheel): a
+// 4096-slot level at 1 ns granularity and two 1024-slot levels at ~4 µs
+// and ~4.2 ms — sized to the simulation's dominant horizons, wire events a
+// few ns..µs out and coalescing timers tens of µs out — with a 4-ary
+// overflow heap for events beyond the ~4.3 s level-2 horizon. Scheduling
+// is O(1) (bitwise slot placement plus an intrusive list append) and
+// dispatch is amortized O(1) (bitmap scans to the next populated slot;
+// same-instant bursts drain from the cursor's slot with no rescan, so
+// Engine.Step dispatches them back-to-back). Events cascade down at most
+// two levels as the clock approaches them. The wheel pops live events in
+// the exact (at, pri, seq) total order; the determinism argument lives
+// with the Wheel type, and the package tests check the order against an
+// independent reference heap.
 //
 // # Per-packet queues
 //
@@ -93,7 +92,7 @@ type Event struct {
 	afn func(any)
 	arg any
 	// next threads the intrusive FIFO of a timing-wheel slot. It is owned
-	// by whichever scheduler currently queues the event.
+	// by the wheel while the event is queued.
 	next      *Event
 	cancelled bool
 }
@@ -113,11 +112,7 @@ func (ev *Event) Cancel() { ev.cancelled = true }
 // Engine is a single-threaded discrete-event scheduler. It is not safe for
 // concurrent use; the process layer (internal/proc) serializes all access.
 type Engine struct {
-	now   Time
-	sched Scheduler
-	// wheel mirrors sched when it is the default timing wheel, so the
-	// per-event push/pop calls on the hot path are concrete (inlinable)
-	// rather than interface dispatches. It is nil for other schedulers.
+	now     Time
 	wheel   *Wheel
 	free    []*Event
 	seq     uint64
@@ -129,45 +124,11 @@ type Engine struct {
 	Limit uint64
 }
 
-// NewEngine returns an engine with the clock at zero, using the default
-// scheduler (the timing wheel, unless SetDefaultScheduler changed it).
+// NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
-	return NewEngineWithScheduler(newDefaultScheduler())
-}
-
-// NewEngineWithScheduler returns an engine backed by the given scheduler.
-// The engine takes ownership: the scheduler must be fresh and must not be
-// shared.
-func NewEngineWithScheduler(s Scheduler) *Engine {
-	e := &Engine{sched: s}
-	e.wheel, _ = s.(*Wheel)
-	s.Bind(e)
+	e := &Engine{}
+	e.wheel = newWheel(e)
 	return e
-}
-
-// push enqueues a stamped event, preferring the concrete wheel path.
-//
-//omxlint:hotpath
-func (e *Engine) push(ev *Event) {
-	if e.wheel != nil {
-		e.wheel.Push(ev)
-	} else {
-		e.sched.Push(ev)
-	}
-}
-
-// popLE dequeues the next live event at or before t (maxHorizon = no bound),
-// preferring the concrete wheel path.
-//
-//omxlint:hotpath
-func (e *Engine) popLE(t Time) *Event {
-	if e.wheel != nil {
-		return e.wheel.popLE(t)
-	}
-	if t == maxHorizon {
-		return e.sched.Pop()
-	}
-	return e.sched.PopLE(t)
 }
 
 // Now returns the current virtual time.
@@ -175,7 +136,7 @@ func (e *Engine) Now() Time { return e.now }
 
 // Pending returns the number of events still scheduled (including cancelled
 // events that have not yet been discarded).
-func (e *Engine) Pending() int { return e.sched.Len() }
+func (e *Engine) Pending() int { return e.wheel.n }
 
 // alloc takes an Event from the free list (or the Go heap when empty) and
 // stamps it.
@@ -220,7 +181,7 @@ func (e *Engine) Schedule(at Time, fn func()) *Event {
 	}
 	ev := e.alloc(at)
 	ev.fn = fn
-	e.push(ev)
+	e.wheel.push(ev)
 	return ev
 }
 
@@ -237,7 +198,7 @@ func (e *Engine) ScheduleArg(at Time, fn func(any), arg any) *Event {
 	ev := e.alloc(at)
 	ev.afn = fn
 	ev.arg = arg
-	e.push(ev)
+	e.wheel.push(ev)
 	return ev
 }
 
@@ -257,7 +218,7 @@ func (e *Engine) ScheduleArgPri(at Time, pri uint64, fn func(any), arg any) *Eve
 	ev.pri = pri
 	ev.afn = fn
 	ev.arg = arg
-	e.push(ev)
+	e.wheel.push(ev)
 	return ev
 }
 
@@ -280,13 +241,13 @@ func (e *Engine) AfterArg(d Time, fn func(any), arg any) *Event {
 }
 
 // Step runs the next event, if any, advancing the clock to it. It reports
-// whether an event ran. The scheduler discards cancelled events internally,
+// whether an event ran. The wheel discards cancelled events internally,
 // so every event Step sees is live; same-instant bursts come off the
 // wheel's current slot without a queue rescan.
 //
 //omxlint:hotpath
 func (e *Engine) Step() bool {
-	ev := e.popLE(maxHorizon)
+	ev := e.wheel.popLE(maxHorizon)
 	if ev == nil {
 		return false
 	}
@@ -328,7 +289,7 @@ func (e *Engine) Run() {
 func (e *Engine) RunUntil(t Time) {
 	e.stopped = false
 	for !e.stopped {
-		ev := e.popLE(t)
+		ev := e.wheel.popLE(t)
 		if ev == nil {
 			break
 		}
@@ -349,7 +310,7 @@ func (e *Engine) Stop() { e.stopped = true }
 // synchronizer calls it between windows (workers parked) to compute the
 // cluster-wide minimum next-event time.
 func (e *Engine) PeekTime() (Time, bool) {
-	ev := e.sched.Peek()
+	ev := e.wheel.peek()
 	if ev == nil {
 		return 0, false
 	}
@@ -366,7 +327,7 @@ func (e *Engine) PeekTime() (Time, bool) {
 //omxlint:hotpath
 func (e *Engine) runWindow(t Time) {
 	for {
-		ev := e.popLE(t)
+		ev := e.wheel.popLE(t)
 		if ev == nil {
 			return
 		}

@@ -32,8 +32,8 @@ import "math/bits"
 //
 // # Determinism
 //
-// Pop must return live events in exactly the (at, pri, seq) order the
-// legacy heap produces. That follows from three invariants:
+// popLE must return live events in exactly the (at, pri, seq) order that
+// before defines. That follows from three invariants:
 //
 //  1. Placement is monotone: an event is inserted at the lowest level whose
 //     current epoch (relative to the cursor) contains its timestamp, and
@@ -42,17 +42,17 @@ import "math/bits"
 //     (plus possibly stale cancelled leftovers from earlier rotations), so
 //     slot order at level 0 is (at, pri, seq) order.
 //  2. Level-0 slots are explicitly ordered: every insertion into level 0 —
-//     direct Push, cascade, overflow drain — goes through an (at, pri, seq)
+//     direct push, cascade, overflow drain — goes through an (at, pri, seq)
 //     ordered insert (see evList.insertOrdered), so the slot head is always
 //     the slot minimum regardless of arrival order. In an all-pri-0 run
-//     arrivals are already in seq order (Pushes carry monotonically
+//     arrivals are already in seq order (pushes carry monotonically
 //     increasing seq, cascades preserve list order, and the overflow heap
 //     drains in order), so the insert degenerates to the historical O(1)
 //     FIFO append.
 //  3. The cursor never outruns the commit point: it advances to a popped
 //     event's timestamp, or to a RunUntil horizon t that the engine then
 //     adopts as now, and cascades only touch slots that start at or before
-//     that commit. The engine never schedules before now, so a Push always
+//     that commit. The engine never schedules before now, so a push always
 //     lands relative to a cursor that is <= every live timestamp; a search
 //     that comes up empty (queue drained, or only cancelled events left)
 //     may release cancelled events but moves no live event and leaves the
@@ -60,7 +60,7 @@ import "math/bits"
 //
 // # Cost model
 //
-// Push is O(1): three epoch compares, a list append, a bitmap OR. Pop is
+// push is O(1): three epoch compares, a list append, a bitmap OR. popLE is
 // amortized O(1): same-instant bursts drain from the cursor's slot without
 // rescanning (the slot's bit stays set while events remain — this is what
 // batches same-timestamp dispatch in Engine.Step and RunUntil), gaps are
@@ -72,7 +72,7 @@ import "math/bits"
 // repository does.
 type Wheel struct {
 	// cur is the committed cursor: every live event with at < cur has been
-	// popped. It only advances when Pop returns an event or a bounded
+	// popped. It only advances when popLE returns an event or a bounded
 	// search proves nothing remains at or before its horizon.
 	cur Time
 	n   int
@@ -152,10 +152,10 @@ func (q *evList) insertOrdered(ev *Event) {
 	p.next = ev
 }
 
-// NewWheelScheduler returns the hierarchical timing-wheel scheduler, the
-// package default.
-func NewWheelScheduler() Scheduler {
-	w := &Wheel{}
+// newWheel returns an empty timing wheel that recycles discarded events
+// through eng's free list.
+func newWheel(eng *Engine) *Wheel {
+	w := &Wheel{eng: eng}
 	w.slots[0] = make([]evList, l0Slots)
 	w.slots[1] = make([]evList, l1Slots)
 	w.slots[2] = make([]evList, l2Slots)
@@ -164,10 +164,6 @@ func NewWheelScheduler() Scheduler {
 	w.bits[2] = make([]uint64, l2Slots/64)
 	return w
 }
-
-func (w *Wheel) Bind(e *Engine) { w.eng = e }
-
-func (w *Wheel) Len() int { return w.n }
 
 //omxlint:hotpath
 func (w *Wheel) setBit(level, idx int) {
@@ -243,8 +239,12 @@ func (w *Wheel) place(base Time, ev *Event) {
 	}
 }
 
+// push files a freshly stamped event. The engine never schedules before
+// now, and the cursor never runs ahead of now (invariant 3), so the event
+// lands at or after the cursor.
+//
 //omxlint:hotpath
-func (w *Wheel) Push(ev *Event) {
+func (w *Wheel) push(ev *Event) {
 	w.n++
 	w.place(w.cur, ev)
 }
@@ -274,15 +274,11 @@ func (w *Wheel) cascade(level, idx int) {
 	}
 }
 
-func (w *Wheel) Pop() *Event { return w.popLE(maxHorizon) }
-
-func (w *Wheel) PopLE(t Time) *Event { return w.popLE(t) }
-
 // popLE removes and returns the minimum live event if its timestamp is <= t,
 // advancing the cursor to it. When the minimum lies beyond t the cursor
 // advances to t instead (the engine adopts t as now), so the next search
 // resumes there; when nothing live remains at all the cursor stays put —
-// that keeps an idle drain from stranding the cursor ahead of later Pushes.
+// that keeps an idle drain from stranding the cursor ahead of later pushes.
 //
 //omxlint:hotpath
 func (w *Wheel) popLE(t Time) *Event {
@@ -447,13 +443,13 @@ func (w *Wheel) takeSingle(level, idx int, t Time) *Event {
 	return ev
 }
 
-// Peek returns the minimum live event without structural movement: no
+// peek returns the minimum live event without structural movement: no
 // cascades, no cursor advance. It may release cancelled events it walks
-// over. Not cascading matters for correctness, not just cost: Peek can look
+// over. Not cascading matters for correctness, not just cost: peek can look
 // arbitrarily far ahead, and moving events down for an epoch the cursor
-// never commits to would let a later Push land "behind" the wheels' state
+// never commits to would let a later push land "behind" the wheels' state
 // and be missed.
-func (w *Wheel) Peek() *Event {
+func (w *Wheel) peek() *Event {
 	lc := w.cur
 	for idx := w.findBit(0, int(lc&l0Mask)); idx >= 0; idx = w.findBit(0, idx+1) {
 		if ev := w.peekSlot0(idx); ev != nil {
@@ -536,4 +532,95 @@ func (w *Wheel) peekSlotMin(level, idx int) *Event {
 		w.clearBit(level, idx)
 	}
 	return best
+}
+
+// before reports strict queue order between two events: (at, pri, seq).
+// (at, seq) pairs are unique, so the order is total and the queue minimum
+// is deterministic; pri slots cross-shard events into a position that does
+// not depend on which engine scheduled them (see the package comment).
+func before(a, b *Event) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	if a.pri != b.pri {
+		return a.pri < b.pri
+	}
+	return a.seq < b.seq
+}
+
+// heap4 is the timing wheel's far-future overflow queue: an inlined 4-ary
+// min-heap ordered by (time, priority, sequence), giving FIFO order at
+// equal timestamps and priorities. Methods are specialized to *Event so
+// push/pop compile to direct slice operations, and a 4-way branch keeps
+// the tree half as deep as a binary heap.
+type heap4 struct {
+	evs []*Event
+}
+
+func (h *heap4) peek() *Event {
+	if len(h.evs) == 0 {
+		return nil
+	}
+	return h.evs[0]
+}
+
+func (h *heap4) push(ev *Event) {
+	i := len(h.evs)
+	h.evs = append(h.evs, ev)
+	for i > 0 {
+		p := (i - 1) >> 2
+		pe := h.evs[p]
+		if before(pe, ev) {
+			break
+		}
+		h.evs[i] = pe
+		i = p
+	}
+	h.evs[i] = ev
+}
+
+func (h *heap4) pop() *Event {
+	if len(h.evs) == 0 {
+		return nil
+	}
+	evs := h.evs
+	root := evs[0]
+	n := len(evs) - 1
+	last := evs[n]
+	evs[n] = nil
+	h.evs = evs[:n]
+	if n > 0 {
+		h.siftDown(last)
+	}
+	return root
+}
+
+// siftDown places ev, displaced from the root by a pop, back into heap
+// position.
+func (h *heap4) siftDown(ev *Event) {
+	evs := h.evs
+	n := len(evs)
+	i := 0
+	for {
+		c := i<<2 + 1
+		if c >= n {
+			break
+		}
+		m, me := c, evs[c]
+		end := c + 4
+		if end > n {
+			end = n
+		}
+		for j := c + 1; j < end; j++ {
+			if je := evs[j]; before(je, me) {
+				m, me = j, je
+			}
+		}
+		if before(ev, me) {
+			break
+		}
+		evs[i] = me
+		i = m
+	}
+	evs[i] = ev
 }

@@ -34,40 +34,11 @@ func (b Background) normalized() Background {
 	return b
 }
 
-// RunPingPongLoaded is RunPingPong under background congestion: the same
-// two-rank ping-pong on nodes 0 and 1, plus bg.Streams bulk senders on
-// extra nodes aimed at node 1. cfg.Nodes is raised to 2+bg.Streams when
-// too small. With bg.Streams == 0 it is exactly RunPingPong (same cluster,
-// same event order, bit-identical results).
-//
-// The interrupt count covers the two ping-pong nodes' NICs only (as in
-// RunPingPong, whose cluster has no other NICs); the bulk senders'
-// interrupt load is background, not measurement. Node 1's count does
-// include interrupts its NIC raises for background arrivals — sharing the
-// receive path is exactly the congestion under study.
-//
-// The background chains stop re-arming once the ping-pong measurement
-// completes, so the engine drains and the MPI world terminates normally.
-func RunPingPongLoaded(cfg cluster.Config, sizes []int, iters int, bg Background) (map[int]sim.Time, uint64, int, error) {
-	res, intr, msgs, _, err := RunPingPongLoadedStats(cfg, sizes, iters, bg)
-	return res, intr, msgs, err
-}
-
-// RunPingPongLoadedStats is RunPingPongLoaded plus the cluster's summed
-// protocol robustness counters.
-func RunPingPongLoadedStats(cfg cluster.Config, sizes []int, iters int, bg Background) (map[int]sim.Time, uint64, int, ProtoCounters, error) {
-	out, err := RunPingPongLoadedOutcome(cfg, sizes, iters, bg)
-	return out.Latency, out.Interrupts, out.Messages, out.Proto, err
-}
-
-// RunPingPongLoadedOutcome is the full-outcome form of
-// RunPingPongLoadedStats, additionally snapshotting per-port switch
-// counters on queued topologies.
-func RunPingPongLoadedOutcome(cfg cluster.Config, sizes []int, iters int, bg Background) (PingPongOutcome, error) {
-	if bg.Streams <= 0 {
-		return RunPingPongOutcome(cfg, sizes, iters)
-	}
-	bg = bg.normalized()
+// runLoadedPingPong is RunPingPong with bg.Streams > 0 background bulk
+// senders on nodes 2.. aimed at node 1. The background chains stop
+// re-arming once the ping-pong measurement completes, so the engine drains
+// and the MPI world terminates normally.
+func runLoadedPingPong(cfg cluster.Config, sizes []int, iters int, bg Background) (PingPongOutcome, error) {
 	if min := 2 + bg.Streams; cfg.Nodes < min {
 		cfg.Nodes = min
 	}

@@ -57,38 +57,20 @@ func TestBackgroundLoadRaisesPingPongLatency(t *testing.T) {
 	cfg := cluster.Paper()
 	sizes := []int{4 << 10}
 	const iters = 6
-	base, _, _, err := RunPingPongLoaded(cfg, sizes, iters, Background{})
+	base, err := RunPingPong(cfg, sizes, iters, Background{})
 	if err != nil {
 		t.Fatalf("unloaded: %v", err)
 	}
-	loaded, _, msgs, err := RunPingPongLoaded(cfg, sizes, iters, Background{Streams: 2})
+	loaded, err := RunPingPong(cfg, sizes, iters, Background{Streams: 2})
 	if err != nil {
 		t.Fatalf("loaded: %v", err)
 	}
-	if msgs == 0 {
+	if loaded.Messages == 0 {
 		t.Fatal("loaded run reported no messages")
 	}
-	if loaded[sizes[0]] <= base[sizes[0]] {
+	if loaded.Latency[sizes[0]] <= base.Latency[sizes[0]] {
 		t.Errorf("background load did not slow the ping-pong: base %v, loaded %v",
-			base[sizes[0]], loaded[sizes[0]])
-	}
-}
-
-// TestLoadedPingPongZeroStreamsIsPingPong checks the bg=0 path is the
-// canonical harness, bit for bit.
-func TestLoadedPingPongZeroStreamsIsPingPong(t *testing.T) {
-	cfg := cluster.Paper()
-	sizes := []int{128}
-	a, ai, am, err := RunPingPong(cfg, sizes, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, bi, bm, err := RunPingPongLoaded(cfg, sizes, 5, Background{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a[128] != b[128] || ai != bi || am != bm {
-		t.Errorf("bg=0 diverged from RunPingPong: %v/%d/%d vs %v/%d/%d", a[128], ai, am, b[128], bi, bm)
+			base.Latency[sizes[0]], loaded.Latency[sizes[0]])
 	}
 }
 

@@ -67,25 +67,23 @@ func portSnapshots(cl *cluster.Cluster) []fabric.PortStats {
 	return ps
 }
 
-// RunPingPong is the canonical ping-pong harness (the experiment runners
-// in internal/exp delegate to it): mean one-way transfer time per message
-// size between two ranks on different nodes, plus the interrupt total
-// across both NICs and the number of messages it covers.
-func RunPingPong(cfg cluster.Config, sizes []int, iters int) (map[int]sim.Time, uint64, int, error) {
-	res, intr, msgs, _, err := RunPingPongStats(cfg, sizes, iters)
-	return res, intr, msgs, err
-}
-
-// RunPingPongStats is RunPingPong plus the cluster's summed protocol
-// robustness counters (the resilience experiments report them).
-func RunPingPongStats(cfg cluster.Config, sizes []int, iters int) (map[int]sim.Time, uint64, int, ProtoCounters, error) {
-	out, err := RunPingPongOutcome(cfg, sizes, iters)
-	return out.Latency, out.Interrupts, out.Messages, out.Proto, err
-}
-
-// RunPingPongOutcome is the full-outcome form of RunPingPongStats,
-// additionally snapshotting per-port switch counters on queued topologies.
-func RunPingPongOutcome(cfg cluster.Config, sizes []int, iters int) (PingPongOutcome, error) {
+// RunPingPong is the ping-pong harness that the experiment runners, the
+// sweep executor, omxsim and the public API all share: mean one-way
+// transfer time per message size between two ranks on nodes 0 and 1,
+// plus the interrupt total and the number of messages it covers.
+//
+// With bg.Streams > 0 the same ping-pong runs under background
+// congestion: bulk senders on extra nodes aimed at node 1 (see
+// Background), with cfg.Nodes raised to 2+bg.Streams when too small. The
+// interrupt total then covers the two ping-pong nodes' NICs only; the bulk
+// senders' interrupt load is background, not measurement. Node 1's count
+// does include interrupts its NIC raises for background arrivals — sharing
+// the receive path is exactly the congestion under study. Without
+// background streams the total covers every NIC in the cluster.
+func RunPingPong(cfg cluster.Config, sizes []int, iters int, bg Background) (PingPongOutcome, error) {
+	if bg.Streams > 0 {
+		return runLoadedPingPong(cfg, sizes, iters, bg.normalized())
+	}
 	// The two ranks share the result map and panic slot in runPingPong, so
 	// the harness stays on the single-engine reference at any requested
 	// parallelism (a 2-node ping-pong has nothing to shard anyway).

@@ -233,7 +233,7 @@ func runPoint(g Grid, p Point, scratch *pointScratch) (res Result) {
 	cfg.Trace = rec
 
 	scratch.sizes[0] = p.Size
-	out, err := RunPingPongLoadedOutcome(cfg, scratch.sizes[:], g.Iters, Background{Streams: p.BgStreams})
+	out, err := RunPingPong(cfg, scratch.sizes[:], g.Iters, Background{Streams: p.BgStreams})
 	res.Retransmits = out.Proto.Retransmits
 	res.Backoffs = out.Proto.Backoffs
 	res.GiveUps = out.Proto.GiveUps

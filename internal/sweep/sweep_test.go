@@ -91,7 +91,7 @@ func TestGridNormalizedEdgeCases(t *testing.T) {
 // TestBackgroundNormalizedEdgeCases pins Background's zero/negative
 // handling: Size and Chains come back at their documented defaults while
 // an explicit positive value survives, and Streams passes through for
-// RunPingPongLoaded to gate on.
+// RunPingPong to gate on.
 func TestBackgroundNormalizedEdgeCases(t *testing.T) {
 	for i, b := range []Background{{}, {Size: 0, Chains: 0}, {Size: -64 << 10, Chains: -2}} {
 		n := b.normalized()

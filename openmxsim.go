@@ -130,9 +130,13 @@ type MarkPolicy = omx.MarkPolicy
 func DefaultMarkPolicy() MarkPolicy { return omx.DefaultMarkPolicy() }
 
 // PingPong measures mean one-way transfer times (ns) between two ranks on
-// different nodes for each message size.
+// different nodes for each message size; iters <= 0 means 10.
 func PingPong(cfg Config, sizes []int, iters int) (map[int]Time, error) {
-	return exp.PingPongLatency(cfg, sizes, iters)
+	if iters <= 0 {
+		iters = 10
+	}
+	out, err := sweep.RunPingPong(cfg, sizes, iters, Background{})
+	return out.Latency, err
 }
 
 // MessageRate measures the sustained receiver-side message rate (msg/s)
@@ -149,8 +153,8 @@ type Background = sweep.Background
 // senders on extra nodes share node 1's port with the latency-sensitive
 // ping-pong. With bg.Streams == 0 it is exactly PingPong.
 func PingPongLoaded(cfg Config, sizes []int, iters int, bg Background) (map[int]Time, error) {
-	lat, _, _, err := sweep.RunPingPongLoaded(cfg, sizes, iters, bg)
-	return lat, err
+	out, err := sweep.RunPingPong(cfg, sizes, iters, bg)
+	return out.Latency, err
 }
 
 // IncastSpec describes an N-to-1 fan-in measurement; IncastResult is the
