@@ -10,15 +10,9 @@
 //	omxbench -csv                   # CSV instead of aligned tables
 //	omxbench -json                  # JSON reports
 //
-// Benchmark mode measures each experiment instead of printing its report,
-// writing machine-readable BENCH_<id>.json files (ns/op, B/op, allocs/op)
-// plus a combined BENCH_all.json, and optionally gates on a baseline —
-// hard on allocs/op (deterministic), warn-only on ns/op (machine-bound):
-//
-//	omxbench -bench -quick                                  # measure all, write bench-out/
-//	omxbench -bench -quick -benchout dir -benchreps 3       # best of 3
-//	omxbench -bench -quick -baseline bench/BENCH_baseline.json  # fail >20% allocs/op, warn >10% ns/op
-//	omxbench -bench -quick -baseline ... -benchsummary "$GITHUB_STEP_SUMMARY"  # Markdown table for CI
+// The output of `omxbench -quick -json -run all -seed N` for N = 1 and 7 is
+// committed as internal/exp/testdata/reports-seedN.json, the model's
+// fingerprint; tests and CI require it byte for byte.
 package main
 
 import (
@@ -43,14 +37,7 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	jsonOut := flag.Bool("json", false, "emit JSON instead of aligned tables")
 	list := flag.Bool("list", false, "list experiments and exit")
-	bench := flag.Bool("bench", false, "benchmark mode: measure experiments and write BENCH_<id>.json")
-	benchOut := flag.String("benchout", "bench-out", "output directory for BENCH_*.json (bench mode)")
-	benchReps := flag.Int("benchreps", 1, "runs per experiment in bench mode (fastest is reported)")
-	baseline := flag.String("baseline", "", "baseline BENCH_all.json to gate allocs/op against (bench mode)")
-	maxRegress := flag.Float64("maxregress", 0.20, "allowed fractional allocs/op regression vs baseline")
-	maxTimeRegress := flag.Float64("maxtimeregress", 0.10, "ns/op regression vs baseline that triggers a warning")
 	par := cliflag.Par()
-	summary := flag.String("benchsummary", "", "write a Markdown baseline-comparison table to this file (bench mode)")
 	traceDir := flag.String("trace-dir", "", "write per-experiment telemetry here: <id>.trace.json timelines and (with -sample) <id>.series.csv")
 	sampleSpec := flag.String("sample", "", "virtual-time metric sampling interval for -trace-dir series, e.g. 200us ('' = events only)")
 	flag.Parse()
@@ -71,13 +58,6 @@ func main() {
 	}
 	opts := exp.Options{Seed: *seed, Quick: *quick, Par: *par}
 
-	if *bench {
-		if err := runBenchMode(ids, opts, *benchReps, *benchOut, *baseline, *maxRegress, *maxTimeRegress, *summary); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 	// In JSON mode the reports accumulate into one array so stdout is a
 	// single valid document even with -run all (and `[]`, not `null`, when
 	// nothing ran).

@@ -56,10 +56,18 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit the result as JSON instead of text")
 	flag.Parse()
 
+	if *size < 0 {
+		fail("bad -size %d: want >= 0", *size)
+	}
+	if *qframes < 0 {
+		fail("bad -qframes %d: want >= 0 (0 = ideal unbounded port)", *qframes)
+	}
+	if *workload != "nas" && *nodes < 2 {
+		fail("-workload %s needs -nodes >= 2", *workload)
+	}
 	st, err := cliflag.Strategy(*strategy)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fail("%v", err)
 	}
 	cfg := cluster.Paper()
 	cfg.Seed = *seed
@@ -77,13 +85,11 @@ func main() {
 	}
 	cfg.IRQPolicy, err = host.ParseIRQPolicy(*irq)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fail("%v", err)
 	}
 	fault, err := faultFlags.Build()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fail("%v", err)
 	}
 	if *burst > 1 && fault != nil && fault.DropProb > 0 {
 		// Bursty loss needs per-frame chain state: route the drop
@@ -98,8 +104,7 @@ func main() {
 	cfg.Fault = fault
 	flaps, err := cliflag.Flaps(*flap)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fail("%v", err)
 	}
 	if len(flaps) > 0 {
 		if cfg.Scenario == nil {
@@ -109,10 +114,12 @@ func main() {
 	}
 	rec, err := traceFlags.Build()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fail("%v", err)
 	}
 	cfg.Trace = rec
+	if err := cfg.Validate(); err != nil {
+		fail("%v", err)
+	}
 
 	// emit prints v as JSON when -json is set; otherwise it runs text().
 	emit := func(v any, text func()) {
@@ -122,8 +129,7 @@ func main() {
 		}
 		b, err := json.MarshalIndent(v, "", "  ")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fail("%v", err)
 		}
 		fmt.Printf("%s\n", b)
 	}
@@ -145,8 +151,7 @@ func main() {
 	case "pingpong":
 		out, err := sweep.RunPingPong(cfg, []int{*size}, *iters, sweep.Background{Streams: *bg})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fail("%v", err)
 		}
 		lat := out.Latency
 		emit(addTelemetry(map[string]any{
@@ -158,10 +163,6 @@ func main() {
 				units.FormatBytes(*size), units.FormatDuration(lat[*size]), st, *delay, *irq, *bg)
 		})
 	case "incast":
-		if *nodes < 2 {
-			fmt.Fprintln(os.Stderr, "incast needs -nodes >= 2 (senders = nodes-1)")
-			os.Exit(1)
-		}
 		res := sweep.RunIncast(sweep.IncastSpec{
 			Cluster: cfg, Senders: *nodes - 1, Size: *size,
 			Warmup: 5 * sim.Millisecond, Measure: 40 * sim.Millisecond,
@@ -189,18 +190,15 @@ func main() {
 		})
 	case "nas":
 		if len(*class) != 1 {
-			fmt.Fprintf(os.Stderr, "bad -class %q: want one letter (S W A B C)\n", *class)
-			os.Exit(1)
+			fail("bad -class %q: want one letter (S W A B C)", *class)
 		}
 		wl, err := nas.Get(*bench, (*class)[0], *ranks)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fail("%v", err)
 		}
 		res, err := nas.Run(cfg, wl)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fail("%v", err)
 		}
 		emit(map[string]any{
 			"workload": "nas", "bench": res.Workload, "strategy": st.String(),
@@ -214,12 +212,16 @@ func main() {
 				res.PacketsDelivered, st)
 		})
 	default:
-		fmt.Fprintf(os.Stderr, "unknown -workload %q\n", *workload)
-		os.Exit(1)
+		fail("unknown -workload %q", *workload)
 	}
 
 	if err := traceFlags.WriteOutputs(rec); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fail("%v", err)
 	}
+}
+
+// fail prints a one-line message to stderr and exits 1.
+func fail(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, format+"\n", args...)
+	os.Exit(1)
 }

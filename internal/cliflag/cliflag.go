@@ -175,13 +175,18 @@ func Uint64s(spec, what string) ([]uint64, error) {
 	return out, nil
 }
 
-// Float64s parses a comma-separated float list (probability axes).
+// Float64s parses a comma-separated list of finite floats (probability
+// axes). NaN and infinities are refused: no axis means anything by them,
+// and a grid holding one cannot be encoded as JSON.
 func Float64s(spec, what string) ([]float64, error) {
 	var out []float64
 	for _, s := range Split(spec) {
 		v, err := strconv.ParseFloat(s, 64)
 		if err != nil {
 			return nil, fmt.Errorf("bad %s %q: %v", what, s, err)
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("bad %s %q: want a finite number", what, s)
 		}
 		out = append(out, v)
 	}

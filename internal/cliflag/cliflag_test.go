@@ -13,6 +13,12 @@ import (
 	"openmxsim/internal/sim"
 )
 
+// badDelays are delay specs Delays must refuse. The range
+// "9223372036854775000:9223372036854775807:1000" once hung POST /v1/sweep.
+var badDelays = []string{"1:2", "5:1:1", "0:10:0", "0:10:-1", "a,b", "1:b:3",
+	"-5:10:5", "0:4096:1", "0:9223372036854775807:1",
+	"9223372036854775000:9223372036854775807:1000", "9223372036854775807"}
+
 func TestDelaysListAndRange(t *testing.T) {
 	got, err := Delays("25,75")
 	if err != nil || !reflect.DeepEqual(got, []sim.Time{25 * sim.Microsecond, 75 * sim.Microsecond}) {
@@ -23,9 +29,7 @@ func TestDelaysListAndRange(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Errorf("Delays range = %v, %v; want %v", got, err, want)
 	}
-	for _, bad := range []string{"1:2", "5:1:1", "0:10:0", "0:10:-1", "a,b", "1:b:3",
-		"-5:10:5", "0:4096:1", "0:9223372036854775807:1",
-		"9223372036854775000:9223372036854775807:1000", "9223372036854775807"} {
+	for _, bad := range badDelays {
 		if _, err := Delays(bad); err == nil {
 			t.Errorf("Delays(%q) accepted", bad)
 		}
@@ -60,6 +64,11 @@ func TestNumericLists(t *testing.T) {
 	}
 	if _, err := Uint64s("-1", "seed"); err == nil {
 		t.Error("negative seed accepted")
+	}
+	for _, bad := range []string{"NaN", "0.1,Inf", "-inf"} {
+		if _, err := Float64s(bad, "drop probability"); err == nil {
+			t.Errorf("Float64s(%q) accepted", bad)
+		}
 	}
 }
 

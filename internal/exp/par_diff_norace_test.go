@@ -2,8 +2,7 @@
 
 package exp
 
-// fullDiffRegistry lets TestReportsBitIdenticalAcrossParallelism cover the
-// whole registry in the normal CI test job; under the race detector the
-// same sweep takes minutes, so the race job falls back to the -short
-// subset.
-const fullDiffRegistry = true
+// raceBuild reports whether the race detector is on. Without it,
+// TestReportsBitIdenticalAcrossParallelism covers the whole registry and
+// checks every experiment's allocation count.
+const raceBuild = false

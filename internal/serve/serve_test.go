@@ -412,6 +412,22 @@ func TestServerFailedJobRunsOnce(t *testing.T) {
 	}
 }
 
+// TestServerOversizedGridFails: a 400 KB body whose sizes and seeds each
+// repeat 100,000 values names 10^10 points. The job must end failed with
+// the sweep's point cap, and the server must keep serving.
+func TestServerOversizedGridFails(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	ones := strings.TrimSuffix(strings.Repeat("1,", 100_000), ",")
+	st := submit(t, ts, "/v1/sweep", "big", SweepRequest{Sizes: ones, Seeds: ones}, http.StatusAccepted)
+	fin := waitTerminal(t, ts, st.ID)
+	if fin.State != JobFailed || !strings.Contains(fin.Error, "want at most 65536") {
+		t.Fatalf("state = %s (%q), want failed carrying the point cap", fin.State, fin.Error)
+	}
+	if resp, _ := getBody(t, ts.URL+"/healthz"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz = %d after the oversized job", resp.StatusCode)
+	}
+}
+
 // TestServerStreamNDJSON: /stream delivers every point as NDJSON and a
 // terminal end event; the point count and telemetry fields match the
 // final result body.

@@ -80,7 +80,14 @@ func portSnapshots(cl *cluster.Cluster) []fabric.PortStats {
 // does include interrupts its NIC raises for background arrivals — sharing
 // the receive path is exactly the congestion under study. Without
 // background streams the total covers every NIC in the cluster.
+//
+// An argument out of range returns an error before any cluster is built:
+// iters < 1, a negative size, cfg.Nodes < 2, bg.Streams < 0, or a cfg
+// that fails Validate.
 func RunPingPong(cfg cluster.Config, sizes []int, iters int, bg Background) (PingPongOutcome, error) {
+	if err := checkPingPong(cfg, sizes, iters, bg); err != nil {
+		return PingPongOutcome{}, err
+	}
 	if bg.Streams > 0 {
 		return runLoadedPingPong(cfg, sizes, iters, bg.normalized())
 	}
@@ -98,6 +105,24 @@ func RunPingPong(cfg cluster.Config, sizes []int, iters int, bg Background) (Pin
 		Proto:      protoCounters(cl),
 		Ports:      portSnapshots(cl),
 	}, err
+}
+
+func checkPingPong(cfg cluster.Config, sizes []int, iters int, bg Background) error {
+	if iters < 1 {
+		return fmt.Errorf("ping-pong: invalid iteration count %d: want >= 1", iters)
+	}
+	for _, size := range sizes {
+		if size < 0 {
+			return fmt.Errorf("ping-pong: invalid message size %d B: want >= 0", size)
+		}
+	}
+	if cfg.Nodes < 2 {
+		return fmt.Errorf("ping-pong: invalid node count %d: want >= 2", cfg.Nodes)
+	}
+	if bg.Streams < 0 {
+		return fmt.Errorf("ping-pong: invalid background stream count %d: want >= 0", bg.Streams)
+	}
+	return cfg.Validate()
 }
 
 // runPingPong drives the two-rank measurement body on a prepared world:

@@ -18,6 +18,10 @@ import (
 // concurrent use. A nil Observer is ignored.
 type Observer func(Result)
 
+// maxPoints bounds the points one grid may expand to. Every grid the
+// commands and experiments run has under a hundred.
+const maxPoints = 1 << 16
+
 // Run expands the grid and executes every point on a pool of workers
 // (workers <= 0 means GOMAXPROCS). Each point builds its own clusters from
 // its own seed, so points never share state and the pool is free to run
@@ -39,6 +43,11 @@ func Run(g Grid, workers int) (Results, error) {
 // observes every completed result as it lands (see Observer).
 func RunContext(ctx context.Context, g Grid, workers int, obs Observer) (Results, error) {
 	g = g.normalized()
+	// Checked before Points() allocates the expansion: a request body
+	// under a megabyte can name billions of points.
+	if n := g.Size(); n > maxPoints {
+		return nil, fmt.Errorf("sweep: grid expands to %d points: want at most %d", n, maxPoints)
+	}
 	pts := g.Points() // never empty: normalized() fills every axis
 	// Rejections mirror cluster.Config.Validate's shape — "invalid <field>
 	// <value>: want <range>" — so a bad axis value in a wide grid is

@@ -45,10 +45,13 @@ func RunStream(spec StreamSpec) StreamResult {
 		}
 	}
 	cl := cluster.New(spec.Cluster)
-	// Application processes pinned away from the default IRQ core. Like
-	// the paper's benchmark processes, they wait in blocking mode, so
-	// their cores enter C1E between message batches and pay the wake-up
-	// penalty — the dominant effect behind Fig. 4's sleep curves.
+	// Application processes pinned away from the default IRQ core (core
+	// 0). In Fig. 4's configurations the receiving core stays 95-100%
+	// busy in user context, so it never enters C1E: every wake-up the host
+	// counts is on an interrupt core, and delays interrupt handling, not
+	// the receive loop. With round-robin IRQs some handlers run on the
+	// receiving core itself and take up to 5% of it, which is where the
+	// default curve dips.
 	snd := cl.Stacks[0].Open(0, cl.Hosts[0].Cores[1])
 	rcv := cl.Stacks[1].Open(0, cl.Hosts[1].Cores[1])
 

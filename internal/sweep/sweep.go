@@ -11,6 +11,7 @@
 package sweep
 
 import (
+	"math"
 	"runtime"
 
 	"openmxsim/internal/chaos"
@@ -213,12 +214,22 @@ func (g Grid) Canonical() Grid {
 	return g
 }
 
-// Size returns the number of points the grid expands to.
+// Size returns the number of points the grid expands to, or math.MaxInt
+// when that number does not fit in an int.
 func (g Grid) Size() int {
 	g = g.normalized()
-	return len(g.Strategies) * len(g.Delays) * len(g.Sizes) *
-		len(g.IRQ) * len(g.Queues) * len(g.Seeds) * len(g.SleepDisabled) *
-		len(g.Nodes) * len(g.BgStreams) * len(g.DropProb) * len(g.Burst)
+	n := 1
+	for _, axis := range [...]int{
+		len(g.Strategies), len(g.Delays), len(g.Sizes), len(g.IRQ),
+		len(g.Queues), len(g.Seeds), len(g.SleepDisabled), len(g.Nodes),
+		len(g.BgStreams), len(g.DropProb), len(g.Burst),
+	} {
+		if n > math.MaxInt/axis {
+			return math.MaxInt
+		}
+		n *= axis
+	}
+	return n
 }
 
 // Points expands the cartesian product in deterministic order: seed

@@ -3,10 +3,13 @@ package sweep
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
+	"openmxsim/internal/cluster"
 	"openmxsim/internal/host"
 	"openmxsim/internal/nic"
 	"openmxsim/internal/sim"
@@ -160,6 +163,59 @@ func TestRunRejectsInvalidGrid(t *testing.T) {
 	g := Grid{Queues: []int{-1}}
 	if _, err := Run(g, 1); err == nil {
 		t.Fatal("negative queue count accepted")
+	}
+}
+
+// TestGridSizeCap: four 65,536-entry axes name 2^64 points. Size must
+// saturate rather than wrap to 0, and Run must refuse the grid before
+// expanding any of it.
+func TestGridSizeCap(t *testing.T) {
+	axis := make([]int, 1<<16)
+	g := Grid{Sizes: axis, Queues: axis, Nodes: axis, Seeds: make([]uint64, 1<<16)}
+	if got := g.Size(); got != math.MaxInt {
+		t.Fatalf("Size() = %d, want math.MaxInt", got)
+	}
+	start := time.Now()
+	_, err := Run(g, 1)
+	if err == nil || !strings.Contains(err.Error(), "want at most 65536") {
+		t.Fatalf("Run error = %v, want the point cap", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("Run took %v to refuse the grid", d)
+	}
+}
+
+// TestRunPingPongRejectsBadArguments: out-of-range arguments return an
+// error before any cluster is built, never a panic, a deadlock or a
+// measurement of nothing.
+func TestRunPingPongRejectsBadArguments(t *testing.T) {
+	badDelay := cluster.Paper()
+	badDelay.CoalesceDelay = -5 * sim.Microsecond
+	oneNode := cluster.Paper()
+	oneNode.Nodes = 1
+	cases := []struct {
+		name  string
+		cfg   cluster.Config
+		sizes []int
+		iters int
+		bg    Background
+		want  string
+	}{
+		{"iters zero", cluster.Paper(), []int{128}, 0, Background{}, "invalid iteration count 0"},
+		{"iters negative", cluster.Paper(), []int{128}, -3, Background{}, "invalid iteration count -3"},
+		{"size negative", cluster.Paper(), []int{128, -1}, 5, Background{}, "invalid message size -1 B"},
+		{"one node", oneNode, []int{128}, 5, Background{}, "invalid node count 1"},
+		{"one node loaded", oneNode, []int{128}, 5, Background{Streams: 1}, "invalid node count 1"},
+		{"bg negative", cluster.Paper(), []int{128}, 5, Background{Streams: -1}, "invalid background stream count -1"},
+		{"config", badDelay, []int{128}, 5, Background{}, "invalid coalescing delay"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := RunPingPong(tc.cfg, tc.sizes, tc.iters, tc.bg)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error = %v, want one containing %q", err, tc.want)
+			}
+		})
 	}
 }
 
