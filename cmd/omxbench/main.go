@@ -42,6 +42,20 @@ func main() {
 	sampleSpec := flag.String("sample", "", "virtual-time metric sampling interval for -trace-dir series, e.g. 200us ('' = events only)")
 	flag.Parse()
 
+	// Reject bad flags before any experiment runs: a negative -par would
+	// panic inside cluster wiring or fold into per-cell error notes, and
+	// -sample without -trace-dir would be silently ignored.
+	if *par < 0 {
+		fail("bad -par %d: want >= 0 (0 means serial)", *par)
+	}
+	sampleEvery, err := cliflag.SampleInterval(*sampleSpec)
+	if err != nil {
+		fail("%v", err)
+	}
+	if *sampleSpec != "" && *traceDir == "" {
+		fail("-sample %s needs -trace-dir", *sampleSpec)
+	}
+
 	if *list {
 		for _, id := range exp.IDs() {
 			fmt.Printf("%-16s %s\n", id, exp.Describe(id))
@@ -53,34 +67,26 @@ func main() {
 	if *run != "all" {
 		ids = strings.Split(*run, ",")
 	}
+	runners := make([]exp.Runner, len(ids))
 	for i, id := range ids {
 		ids[i] = strings.TrimSpace(id)
+		if runners[i], err = exp.Get(ids[i]); err != nil {
+			fail("%v", err)
+		}
 	}
 	opts := exp.Options{Seed: *seed, Quick: *quick, Par: *par}
+
+	if *traceDir != "" {
+		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
+			fail("%v", err)
+		}
+	}
 
 	// In JSON mode the reports accumulate into one array so stdout is a
 	// single valid document even with -run all (and `[]`, not `null`, when
 	// nothing ran).
-	sampleEvery, err := cliflag.SampleInterval(*sampleSpec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if *traceDir != "" {
-		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-
 	reports := []*exp.Report{}
-	for _, id := range ids {
-		id = strings.TrimSpace(id)
-		runner, err := exp.Get(id)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	for i, id := range ids {
 		// One fresh recorder per experiment keeps run indices local to the
 		// experiment's own clusters; only experiments that opted into
 		// telemetry attach it, so the files appear only when non-empty.
@@ -89,11 +95,10 @@ func main() {
 			opts.Trace = trace.New(trace.Config{SampleEvery: sampleEvery, Events: true})
 		}
 		start := time.Now()
-		rep := runner(opts)
+		rep := runners[i](opts)
 		if rec := opts.Trace; rec != nil && rec.Runs() > 0 {
 			if err := writeTelemetry(*traceDir, id, rec, sampleEvery > 0); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				fail("%v", err)
 			}
 		}
 		switch {
@@ -109,11 +114,15 @@ func main() {
 	if *jsonOut {
 		b, err := json.MarshalIndent(reports, "", "  ")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fail("%v", err)
 		}
 		fmt.Printf("%s\n", b)
 	}
+}
+
+func fail(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, format+"\n", args...)
+	os.Exit(1)
 }
 
 // writeTelemetry writes one experiment's recorder to dir: the Chrome

@@ -23,7 +23,6 @@ import (
 	"openmxsim/internal/chaos"
 	"openmxsim/internal/cliflag"
 	"openmxsim/internal/cluster"
-	"openmxsim/internal/exp"
 	"openmxsim/internal/fabric"
 	"openmxsim/internal/host"
 	"openmxsim/internal/nas"
@@ -179,7 +178,10 @@ func main() {
 				units.FormatRate(res.IntrRate), res.PortDrops, res.MaxQueueFrames, st)
 		})
 	case "rate":
-		rate := exp.MessageRate(cfg, *size, 20*sim.Millisecond, 100*sim.Millisecond)
+		rate := sweep.RunStream(sweep.StreamSpec{
+			Cluster: cfg, Size: *size,
+			Warmup: 20 * sim.Millisecond, Measure: 100 * sim.Millisecond,
+		}).Rate
 		emit(addTelemetry(map[string]any{
 			"workload": "rate", "strategy": st.String(), "delay_us": *delay,
 			"irq": cfg.IRQPolicy.String(), "size_bytes": *size,

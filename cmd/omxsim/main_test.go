@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -55,6 +57,37 @@ func TestBadFlagsExitOne(t *testing.T) {
 			if !strings.Contains(msg, tc.want) || strings.Contains(msg, "\n") ||
 				strings.Contains(msg, "panic") || strings.Contains(msg, "goroutine") {
 				t.Errorf("%q printed %q, want one line containing %q", tc.args, out, tc.want)
+			}
+		})
+	}
+}
+
+// TestJSONGolden pins omxsim's -json output for each workload byte for
+// byte against testdata/<name>.json, so a change that reroutes a workload
+// through another harness cannot move its numbers unnoticed.
+func TestJSONGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"pingpong", []string{"-workload", "pingpong", "-json"}},
+		{"rate", []string{"-workload", "rate", "-json"}},
+		{"incast", []string{"-workload", "incast", "-nodes", "9", "-qframes", "64", "-json"}},
+		{"nas", []string{"-workload", "nas", "-bench", "is", "-class", "S", "-ranks", "4", "-json"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", tc.name+".json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cmd := exec.Command(os.Args[0], tc.args...)
+			cmd.Env = append(os.Environ(), runMainEnv+"=1")
+			got, err := cmd.Output()
+			if err != nil {
+				t.Fatalf("%q: %v", tc.args, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%q output differs from testdata/%s.json:\n got %s\nwant %s", tc.args, tc.name, got, want)
 			}
 		})
 	}

@@ -6,7 +6,6 @@ package cluster
 
 import (
 	"fmt"
-	"slices"
 
 	"openmxsim/internal/chaos"
 	"openmxsim/internal/fabric"
@@ -32,8 +31,6 @@ type Config struct {
 	// Strategy and CoalesceDelay select the NIC interrupt behaviour.
 	Strategy      nic.Strategy
 	CoalesceDelay sim.Time
-	// MaxFrames is the optional rx-frames coalescing bound.
-	MaxFrames int
 	// Feedback is the goal for StrategyFeedback (ignored by the other
 	// strategies; zero fields fall back to the params defaults). The
 	// tuner in internal/tune derives a goal from the chosen tradeoff
@@ -41,9 +38,9 @@ type Config struct {
 	Feedback nic.FeedbackGoal
 	// Queues > 1 enables the multiqueue extension.
 	Queues int
-	// IRQPolicy and IRQCore set interrupt routing (default round-robin).
+	// IRQPolicy sets interrupt routing (default round-robin); single-core
+	// routing binds every interrupt to core 0.
 	IRQPolicy host.IRQPolicy
-	IRQCore   int
 	// SleepDisabled keeps idle cores out of C1E ("Sleeping disabled").
 	SleepDisabled bool
 	// Seed drives all stochastic elements; equal seeds reproduce runs
@@ -104,9 +101,6 @@ func (c Config) Validate() error {
 	if c.CoalesceDelay < 0 {
 		return fmt.Errorf("cluster: invalid coalescing delay %dns: want >= 0", c.CoalesceDelay)
 	}
-	if c.MaxFrames < 0 {
-		return fmt.Errorf("cluster: invalid rx-frames bound %d: want >= 0", c.MaxFrames)
-	}
 	if c.Queues < 0 {
 		return fmt.Errorf("cluster: invalid queue count %d: want >= 0 (0 means 1)", c.Queues)
 	}
@@ -125,18 +119,6 @@ func (c Config) Validate() error {
 	if err := c.Topology.Validate(); err != nil {
 		return err
 	}
-	// Sorted iteration: with several out-of-range overrides the error
-	// reported must not depend on randomized map order.
-	var overridden []int
-	for node := range c.Topology.PortBandwidthBps {
-		overridden = append(overridden, node)
-	}
-	slices.Sort(overridden)
-	for _, node := range overridden {
-		if node >= c.Nodes {
-			return fmt.Errorf("cluster: invalid port bandwidth override node %d: want [0,%d)", node, c.Nodes)
-		}
-	}
 	if c.IRQPolicy < host.IRQRoundRobin || c.IRQPolicy > host.IRQPerQueue {
 		return fmt.Errorf("cluster: invalid IRQ policy %d: want [%d,%d]", int(c.IRQPolicy), int(host.IRQRoundRobin), int(host.IRQPerQueue))
 	}
@@ -144,13 +126,6 @@ func (c Config) Validate() error {
 		if err := c.Scenario.Validate(); err != nil {
 			return err
 		}
-	}
-	p := c.Params
-	if p == nil {
-		p = params.Default()
-	}
-	if c.IRQCore < 0 || c.IRQCore >= p.Host.Cores {
-		return fmt.Errorf("cluster: invalid IRQ core %d: want [0,%d)", c.IRQCore, p.Host.Cores)
 	}
 	return nil
 }
@@ -289,13 +264,12 @@ func New(cfg Config) *Cluster {
 	for i := 0; i < cfg.Nodes; i++ {
 		neng := engs[c.shardOf[i]]
 		h := host.New(neng, i, p.Host)
-		h.SetIRQPolicy(cfg.IRQPolicy, cfg.IRQCore)
+		h.SetIRQPolicy(cfg.IRQPolicy)
 		n := nic.New(neng, p, h, sw, wire.NodeMAC(i), nic.Config{
-			Strategy:  cfg.Strategy,
-			Delay:     cfg.CoalesceDelay,
-			MaxFrames: cfg.MaxFrames,
-			Queues:    cfg.Queues,
-			Feedback:  cfg.Feedback,
+			Strategy: cfg.Strategy,
+			Delay:    cfg.CoalesceDelay,
+			Queues:   cfg.Queues,
+			Feedback: cfg.Feedback,
 		})
 		if par > 1 {
 			sw.BindPort(wire.NodeMAC(i), c.shardOf[i], neng)
@@ -324,12 +298,6 @@ func New(cfg Config) *Cluster {
 				c.installSampler(i, every)
 			}
 		}
-	}
-	// Per-port bandwidth overrides apply after the NICs registered their
-	// ports (map order is irrelevant: ports are independent).
-	//omxlint:allow maprange: ports are independent, each override touches only its own port
-	for node, bps := range cfg.Topology.PortBandwidthBps {
-		sw.SetPortBandwidth(wire.NodeMAC(node), bps)
 	}
 	if chaosEng != nil {
 		c.Chaos = chaosEng

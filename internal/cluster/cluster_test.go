@@ -71,11 +71,10 @@ func TestSleepDisabledPropagates(t *testing.T) {
 func TestIRQPolicyPropagates(t *testing.T) {
 	cfg := Paper()
 	cfg.IRQPolicy = host.IRQSingleCore
-	cfg.IRQCore = 3
 	c := New(cfg)
 	for i := 0; i < 4; i++ {
-		if got := c.Hosts[0].IRQTarget(0); got.ID != 3 {
-			t.Fatalf("IRQ target core %d, want 3", got.ID)
+		if got := c.Hosts[0].IRQTarget(0); got.ID != 0 {
+			t.Fatalf("IRQ target core %d, want 0", got.ID)
 		}
 	}
 }
@@ -106,7 +105,6 @@ func TestValidate(t *testing.T) {
 		func() Config { c := Paper(); c.Queues = -1; return c }(),
 		func() Config { c := Paper(); c.Strategy = 99; return c }(),
 		func() Config { c := Paper(); c.IRQPolicy = 99; return c }(),
-		func() Config { c := Paper(); c.IRQCore = 99; return c }(),
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -121,7 +119,6 @@ func TestValidateTopology(t *testing.T) {
 	good.Topology = fabric.Topology{
 		Kind:              fabric.TopologyOutputQueued,
 		EgressQueueFrames: 32,
-		PortBandwidthBps:  map[int]int64{3: 1_000_000_000},
 	}
 	if err := good.Validate(); err != nil {
 		t.Errorf("good topology rejected: %v", err)
@@ -129,18 +126,6 @@ func TestValidateTopology(t *testing.T) {
 	bad := []Config{
 		func() Config { c := Paper(); c.Topology.Kind = 9; return c }(),
 		func() Config { c := Paper(); c.Topology.EgressQueueFrames = -1; return c }(),
-		func() Config { c := Paper(); c.Topology.Discipline = 5; return c }(),
-		func() Config { // override beyond the node count
-			c := Paper()
-			c.Topology.Kind = fabric.TopologyOutputQueued
-			c.Topology.PortBandwidthBps = map[int]int64{5: 1_000_000_000}
-			return c
-		}(),
-		func() Config { // override under the frozen direct model
-			c := Paper()
-			c.Topology.PortBandwidthBps = map[int]int64{1: 1_000_000_000}
-			return c
-		}(),
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -198,18 +183,12 @@ func TestValidateMessages(t *testing.T) {
 	}{
 		{"nodes", mut(func(c *Config) { c.Nodes = 0 }), "invalid node count 0: want >= 1"},
 		{"delay", mut(func(c *Config) { c.CoalesceDelay = -5 }), "invalid coalescing delay -5ns: want >= 0"},
-		{"frames", mut(func(c *Config) { c.MaxFrames = -2 }), "invalid rx-frames bound -2: want >= 0"},
 		{"queues", mut(func(c *Config) { c.Queues = -1 }), "invalid queue count -1: want >= 0"},
 		{"par", mut(func(c *Config) { c.Parallelism = -3 }), "invalid parallelism -3: want >= 0"},
 		{"strategy", mut(func(c *Config) { c.Strategy = 99 }), "invalid strategy 99: want one of"},
 		{"feedback rate", mut(func(c *Config) { c.Feedback.TargetIntrPerSec = -1 }), "invalid feedback interrupt-rate target -1/s: want >= 0"},
 		{"feedback budget", mut(func(c *Config) { c.Feedback.MaxLatency = -7 }), "invalid feedback latency budget -7ns: want >= 0"},
 		{"irq policy", mut(func(c *Config) { c.IRQPolicy = 99 }), "invalid IRQ policy 99: want ["},
-		{"irq core", mut(func(c *Config) { c.IRQCore = 99 }), "invalid IRQ core 99: want [0,"},
-		{"port override", mut(func(c *Config) {
-			c.Topology.Kind = fabric.TopologyOutputQueued
-			c.Topology.PortBandwidthBps = map[int]int64{99: 1}
-		}), "invalid port bandwidth override node 99: want [0,"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

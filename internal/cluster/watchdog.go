@@ -7,34 +7,19 @@ import (
 	"openmxsim/internal/sim"
 )
 
-// Watchdog bounds a watched run's liveness. The zero value gets sane
-// defaults from its fields' docs.
-type Watchdog struct {
-	// Interval is the virtual-time check granularity (default 100 ms).
-	Interval sim.Time
-	// Idle is how many consecutive intervals may pass without any frame
-	// delivered, packet sent, or shared-memory message before the run is
-	// declared wedged (default 3).
-	Idle int
-	// MaxVirtual, when > 0, is an absolute virtual-time budget; a run
-	// still holding pending events past it fails.
-	MaxVirtual sim.Time
-}
-
-func (w Watchdog) withDefaults() Watchdog {
-	if w.Interval <= 0 {
-		w.Interval = 100 * sim.Millisecond
-	}
-	if w.Idle <= 0 {
-		w.Idle = 3
-	}
-	return w
-}
+const (
+	// watchInterval is the watchdog's virtual-time check granularity.
+	watchInterval = 100 * sim.Millisecond
+	// watchIdle is how many consecutive intervals may pass without any
+	// frame delivered, packet sent, or shared-memory message before the
+	// run is declared wedged.
+	watchIdle = 3
+)
 
 // WedgeError reports a run that failed liveness: either no progress for
-// Idle consecutive intervals with events still pending, or the virtual
-// clock exceeding MaxVirtual. Diagnostics is a multi-line snapshot of
-// engine and stack state at the moment the watchdog fired.
+// watchIdle consecutive intervals with events still pending, or the
+// virtual clock exceeding the run's budget. Diagnostics is a multi-line
+// snapshot of engine and stack state at the moment the watchdog fired.
 type WedgeError struct {
 	At          sim.Time
 	Reason      string
@@ -46,18 +31,18 @@ func (e *WedgeError) Error() string {
 }
 
 // RunWatched executes the simulation to completion like Run, but under a
-// liveness watchdog: it advances the cluster in Interval-sized windows
-// and, between windows, checks that traffic is still flowing. A run
-// whose engines hold pending events yet move no frames for Idle
-// consecutive intervals — a retry loop that lost its peer, a
-// self-rearming timer with no workload behind it — fails with a
-// *WedgeError carrying diagnostics instead of spinning forever. Returns
-// nil when every engine drains (the normal end of a run).
+// liveness watchdog: it advances the cluster in 100 ms windows and,
+// between windows, checks that traffic is still flowing. A run whose
+// engines hold pending events yet move no frames for three consecutive
+// windows — a retry loop that lost its peer, a self-rearming timer with no
+// workload behind it — fails with a *WedgeError carrying diagnostics
+// instead of spinning forever. maxVirtual, when > 0, is an absolute
+// virtual-time budget: a run still holding pending events past it fails
+// too. Returns nil when every engine drains (the normal end of a run).
 //
 // The interval check is a quiescent point (all shards parked), so
 // reading cross-shard counters here is safe at any parallelism.
-func (c *Cluster) RunWatched(w Watchdog) error {
-	w = w.withDefaults()
+func (c *Cluster) RunWatched(maxVirtual sim.Time) error {
 	last := c.progress()
 	idle := 0
 	for {
@@ -65,24 +50,24 @@ func (c *Cluster) RunWatched(w Watchdog) error {
 		if !ok {
 			return nil // all engines drained: normal completion
 		}
-		if w.MaxVirtual > 0 && t > w.MaxVirtual {
+		if maxVirtual > 0 && t > maxVirtual {
 			return &WedgeError{
 				At:          c.Now(),
-				Reason:      fmt.Sprintf("virtual time budget %v exceeded (next event at %v)", w.MaxVirtual, t),
+				Reason:      fmt.Sprintf("virtual time budget %v exceeded (next event at %v)", maxVirtual, t),
 				Diagnostics: c.diagnostics(),
 			}
 		}
 		// Advance one window from the earliest pending work, so a long
 		// quiet gap (a backed-off retry far in the future) counts as one
 		// interval, not thousands.
-		c.RunUntil(t + w.Interval)
+		c.RunUntil(t + watchInterval)
 		cur := c.progress()
 		if cur == last {
 			idle++
-			if idle >= w.Idle {
+			if idle >= watchIdle {
 				return &WedgeError{
 					At:          c.Now(),
-					Reason:      fmt.Sprintf("no frame progress for %d consecutive %v intervals with events pending", idle, w.Interval),
+					Reason:      fmt.Sprintf("no frame progress for %d consecutive %v intervals with events pending", idle, watchInterval),
 					Diagnostics: c.diagnostics(),
 				}
 			}

@@ -21,7 +21,7 @@ func TestRunWatchedDrainsCleanly(t *testing.T) {
 	c.ScheduleOn(0, 0, func() {
 		eps[0].Isend(c.Addr(1, 0), 1, nil, 4096, func() { done = true })
 	})
-	if err := c.RunWatched(Watchdog{}); err != nil {
+	if err := c.RunWatched(0); err != nil {
 		t.Fatalf("watchdog fired on a healthy run: %v", err)
 	}
 	if !done {
@@ -48,7 +48,7 @@ func TestRunWatchedPermanentFlapGivesUp(t *testing.T) {
 		h = eps[0].Isend(c.Addr(1, 0), 1, nil, size, nil)
 	})
 
-	if err := c.RunWatched(Watchdog{MaxVirtual: 5 * sim.Second}); err != nil {
+	if err := c.RunWatched(5 * sim.Second); err != nil {
 		t.Fatalf("bounded give-up should drain quietly, watchdog fired: %v", err)
 	}
 	if h == nil {
@@ -88,7 +88,7 @@ func TestRunWatchedTransientFlapRecovers(t *testing.T) {
 	c.ScheduleOn(0, 2*sim.Millisecond, func() {
 		h = eps[0].Isend(c.Addr(1, 0), 1, nil, size, func() { done = true })
 	})
-	if err := c.RunWatched(Watchdog{MaxVirtual: 5 * sim.Second}); err != nil {
+	if err := c.RunWatched(5 * sim.Second); err != nil {
 		t.Fatalf("watchdog fired on a recovering run: %v", err)
 	}
 	if !done || h.Err != nil {
@@ -115,7 +115,7 @@ func TestRunWatchedCatchesWedge(t *testing.T) {
 	spin = func() { c.Eng.After(sim.Millisecond, spin) }
 	c.Eng.After(0, spin)
 
-	err := c.RunWatched(Watchdog{Interval: 10 * sim.Millisecond, Idle: 3})
+	err := c.RunWatched(0)
 	var we *WedgeError
 	if !errors.As(err, &we) {
 		t.Fatalf("RunWatched = %v, want *WedgeError", err)
@@ -123,7 +123,7 @@ func TestRunWatchedCatchesWedge(t *testing.T) {
 	if !strings.Contains(we.Diagnostics, "engine[0]") || !strings.Contains(we.Diagnostics, "node[0]") {
 		t.Errorf("diagnostics missing engine/node snapshot:\n%s", we.Diagnostics)
 	}
-	// Fired after ~Idle intervals, not after hours of virtual time.
+	// Fired after a few intervals, not after hours of virtual time.
 	if we.At > sim.Second {
 		t.Errorf("watchdog fired at %v, expected within a few intervals", we.At)
 	}
@@ -134,7 +134,7 @@ func TestRunWatchedCatchesWedge(t *testing.T) {
 func TestRunWatchedMaxVirtual(t *testing.T) {
 	c := New(Paper())
 	c.Eng.After(3*sim.Second, func() {})
-	err := c.RunWatched(Watchdog{MaxVirtual: sim.Second})
+	err := c.RunWatched(sim.Second)
 	var we *WedgeError
 	if !errors.As(err, &we) {
 		t.Fatalf("RunWatched = %v, want *WedgeError for budget overrun", err)
@@ -159,7 +159,7 @@ func TestScenarioComposesWithStaticFault(t *testing.T) {
 	c.ScheduleOn(0, 0, func() {
 		h = eps[0].Isend(c.Addr(1, 0), 1, nil, size, nil)
 	})
-	if err := c.RunWatched(Watchdog{MaxVirtual: 5 * sim.Second}); err != nil {
+	if err := c.RunWatched(5 * sim.Second); err != nil {
 		t.Fatalf("bounded give-up should drain quietly, watchdog fired: %v", err)
 	}
 	if h == nil || !errors.Is(h.Err, omx.ErrGiveUp) {

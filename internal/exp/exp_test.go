@@ -207,10 +207,10 @@ func TestAdaptiveHelpsLatencyMicrobenchmark(t *testing.T) {
 func TestStreamHarnessDeterminism(t *testing.T) {
 	cfg := cluster.Paper()
 	cfg.Strategy = nic.StrategyStream
-	spec := streamSpec{Cluster: cfg, Size: 128, Chains: 4,
+	spec := sweep.StreamSpec{Cluster: cfg, Size: 128,
 		Warmup: 2 * sim.Millisecond, Measure: 10 * sim.Millisecond}
-	a := runStream(spec)
-	b := runStream(spec)
+	a := sweep.RunStream(spec)
+	b := sweep.RunStream(spec)
 	if a != b {
 		t.Fatalf("stream results differ: %+v vs %+v", a, b)
 	}

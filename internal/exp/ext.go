@@ -7,6 +7,7 @@ import (
 	"openmxsim/internal/host"
 	"openmxsim/internal/nas"
 	"openmxsim/internal/nic"
+	"openmxsim/internal/params"
 	"openmxsim/internal/sim"
 	"openmxsim/internal/sweep"
 	"openmxsim/internal/units"
@@ -66,7 +67,7 @@ func Adaptive(opts Options) *Report {
 		cfg.Seed = opts.Seed
 		cfg.Parallelism = opts.Par
 		cfg.Strategy = st.strategy
-		res := runStream(streamSpec{Cluster: cfg, Size: 128, Chains: 8,
+		res := sweep.RunStream(sweep.StreamSpec{Cluster: cfg, Size: 128,
 			Warmup: 10 * sim.Millisecond, Measure: measure})
 		rateRow = append(rateRow, units.FormatRate(res.Rate))
 	}
@@ -129,7 +130,7 @@ func Multiqueue(opts Options) *Report {
 		cfg.Strategy = nic.StrategyOpenMX
 		cfg.Queues = cs.queues
 		cfg.IRQPolicy = cs.policy
-		res := runStream(streamSpec{Cluster: cfg, Size: 128, Chains: 8,
+		res := sweep.RunStream(sweep.StreamSpec{Cluster: cfg, Size: 128,
 			Warmup: 10 * sim.Millisecond, Measure: measure})
 		rep.Rows = append(rep.Rows, []string{
 			cs.name,
@@ -163,11 +164,7 @@ func Jumbo(opts Options) *Report {
 		cfg.Seed = opts.Seed
 		cfg.Parallelism = opts.Par
 		cfg.Strategy = nic.StrategyOpenMX
-		p := cfg.Params
-		if p == nil {
-			p = clusterParams()
-		}
-		p = p.Clone()
+		p := params.Default()
 		p.Proto.MTU = mtu
 		p.Proto.PullReplyPayload = mtu
 		cfg.Params = p

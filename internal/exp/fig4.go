@@ -7,6 +7,7 @@ import (
 	"openmxsim/internal/host"
 	"openmxsim/internal/nic"
 	"openmxsim/internal/sim"
+	"openmxsim/internal/sweep"
 	"openmxsim/internal/units"
 )
 
@@ -66,8 +67,8 @@ func Fig4(opts Options) *Report {
 				cfg.Strategy = nic.StrategyTimeout
 				cfg.CoalesceDelay = d
 			}
-			res := runStream(streamSpec{
-				Cluster: cfg, Size: 128, Chains: 8,
+			res := sweep.RunStream(sweep.StreamSpec{
+				Cluster: cfg, Size: 128,
 				Warmup: warmup, Measure: measure,
 			})
 			row = append(row, units.FormatRate(res.Rate))

@@ -3,8 +3,6 @@ package exp
 import (
 	"fmt"
 	"sort"
-
-	"openmxsim/internal/params"
 )
 
 // Runner is an experiment entry point.
@@ -69,7 +67,3 @@ func Get(id string) (Runner, error) {
 	sort.Strings(known)
 	return nil, fmt.Errorf("exp: unknown experiment %q (known: %v)", id, known)
 }
-
-// clusterParams returns the default parameter set (helper for extensions
-// that need to derive modified parameters).
-func clusterParams() *params.Params { return params.Default() }

@@ -31,9 +31,6 @@ type Options struct {
 	Trace *trace.Recorder
 }
 
-// DefaultOptions returns the full-scale configuration.
-func DefaultOptions() Options { return Options{Seed: 1} }
-
 // Report is a formatted experiment result. It renders three ways: an
 // aligned text table (String), comma-separated values (CSV), and indented
 // JSON (JSON/WriteJSON) for machine consumers such as benchmark-trajectory

@@ -199,7 +199,7 @@ func ResilienceFlap(opts Options) *Report {
 			h = eps[0].Isend(cl.Addr(1, 0), 1, nil, size, func() { completed = true })
 		})
 
-		werr := cl.RunWatched(cluster.Watchdog{MaxVirtual: 5 * sim.Second})
+		werr := cl.RunWatched(5 * sim.Second)
 		outcome := "pending"
 		switch {
 		case h != nil && errors.Is(h.Err, omx.ErrGiveUp):

@@ -3,19 +3,8 @@ package exp
 import (
 	"openmxsim/internal/cluster"
 	"openmxsim/internal/sim"
-	"openmxsim/internal/sweep"
 	"openmxsim/internal/wire"
 )
-
-// The stream harness lives in internal/sweep (the canonical copy, shared
-// with the parallel sweep executor); these aliases keep the experiment
-// runners reading naturally.
-type (
-	streamSpec   = sweep.StreamSpec
-	streamResult = sweep.StreamResult
-)
-
-func runStream(spec streamSpec) streamResult { return sweep.RunStream(spec) }
 
 // nullPort absorbs frames addressed to the blaster's MAC (none arrive).
 type nullPort struct{}

@@ -4,6 +4,7 @@ import (
 	"openmxsim/internal/cluster"
 	"openmxsim/internal/nic"
 	"openmxsim/internal/sim"
+	"openmxsim/internal/sweep"
 	"openmxsim/internal/units"
 )
 
@@ -24,14 +25,13 @@ func Table1(opts Options) *Report {
 	type sizeSpec struct {
 		label   string
 		size    int
-		chains  int
 		warmup  sim.Time
 		measure sim.Time
 	}
 	sizes := []sizeSpec{
-		{"0B", 0, 8, 20 * sim.Millisecond, 150 * sim.Millisecond},
-		{"32kiB", 32 << 10, 8, 20 * sim.Millisecond, 250 * sim.Millisecond},
-		{"1MiB", 1 << 20, 4, 50 * sim.Millisecond, 1000 * sim.Millisecond},
+		{"0B", 0, 20 * sim.Millisecond, 150 * sim.Millisecond},
+		{"32kiB", 32 << 10, 20 * sim.Millisecond, 250 * sim.Millisecond},
+		{"1MiB", 1 << 20, 50 * sim.Millisecond, 1000 * sim.Millisecond},
 	}
 	if opts.Quick {
 		for i := range sizes {
@@ -58,8 +58,8 @@ func Table1(opts Options) *Report {
 			cfg.Seed = opts.Seed
 			cfg.Parallelism = opts.Par
 			cfg.Strategy = st.strategy
-			res := runStream(streamSpec{
-				Cluster: cfg, Size: ss.size, Chains: ss.chains,
+			res := sweep.RunStream(sweep.StreamSpec{
+				Cluster: cfg, Size: ss.size,
 				Warmup: ss.warmup, Measure: ss.measure,
 			})
 			row = append(row, units.FormatRate(res.Rate))

@@ -67,7 +67,6 @@ package fabric
 
 import (
 	"fmt"
-	"slices"
 
 	"openmxsim/internal/params"
 	"openmxsim/internal/sim"
@@ -104,24 +103,6 @@ func (k TopologyKind) String() string {
 	return fmt.Sprintf("topology(%d)", int(k))
 }
 
-// QueueDiscipline selects how a bounded egress queue admits frames.
-type QueueDiscipline int
-
-const (
-	// DropTail rejects the arriving frame when the queue is full (the
-	// classic FIFO discipline of commodity Ethernet switches).
-	DropTail QueueDiscipline = iota
-)
-
-var disciplineNames = [...]string{"drop-tail"}
-
-func (d QueueDiscipline) String() string {
-	if d >= 0 && int(d) < len(disciplineNames) {
-		return disciplineNames[d]
-	}
-	return fmt.Sprintf("discipline(%d)", int(d))
-}
-
 // DefaultEgressQueueFrames is the per-port buffer used when a Topology
 // selects the output-queued model without an explicit bound. 128 full
 // frames per port is in the range of the shallow shared-buffer switches of
@@ -138,16 +119,6 @@ type Topology struct {
 	// output-queued model; <= 0 selects DefaultEgressQueueFrames. Ignored
 	// by the direct model.
 	EgressQueueFrames int
-	// Discipline is the bounded queue's admission policy (drop-tail only,
-	// for now).
-	Discipline QueueDiscipline
-	// PortBandwidthBps overrides the egress line rate of individual ports,
-	// keyed by node index (see wire.NodeMAC); absent ports use the link's
-	// default rate. Applied by cluster wiring via SetPortBandwidth. Only
-	// meaningful with TopologyOutputQueued — the direct model's timing is
-	// frozen, so Validate rejects overrides there rather than silently
-	// ignoring them.
-	PortBandwidthBps map[int]int64
 }
 
 // Validate reports whether the topology is buildable.
@@ -155,29 +126,8 @@ func (t Topology) Validate() error {
 	if t.Kind != TopologyDirect && t.Kind != TopologyOutputQueued {
 		return fmt.Errorf("fabric: invalid topology kind %d: want TopologyDirect (%d) or TopologyOutputQueued (%d)", int(t.Kind), int(TopologyDirect), int(TopologyOutputQueued))
 	}
-	if t.Kind == TopologyDirect && len(t.PortBandwidthBps) > 0 {
-		return fmt.Errorf("fabric: port bandwidth overrides require the output-queued topology (the direct model is frozen)")
-	}
-	if t.Discipline != DropTail {
-		return fmt.Errorf("fabric: invalid queue discipline %d: want DropTail (%d)", int(t.Discipline), int(DropTail))
-	}
 	if t.EgressQueueFrames < 0 {
 		return fmt.Errorf("fabric: invalid egress queue bound %d frames: want >= 0", t.EgressQueueFrames)
-	}
-	// Iterate the overrides in sorted key order: with several bad entries
-	// the error reported must not depend on randomized map order.
-	var nodes []int
-	for node := range t.PortBandwidthBps {
-		nodes = append(nodes, node)
-	}
-	slices.Sort(nodes)
-	for _, node := range nodes {
-		if node < 0 {
-			return fmt.Errorf("fabric: invalid port bandwidth override node %d: want >= 0", node)
-		}
-		if bps := t.PortBandwidthBps[node]; bps <= 0 {
-			return fmt.Errorf("fabric: invalid bandwidth %d B/s for node %d: want > 0", bps, node)
-		}
 	}
 	return nil
 }
@@ -332,8 +282,7 @@ type qent struct {
 type port struct {
 	mac  wire.MAC
 	rx   Receiver
-	link params.Link // egress link (per-port bandwidth overrides)
-	node int         // wire.MAC.NodeIndex of mac, passed to scenario hooks
+	node int // wire.MAC.NodeIndex of mac, passed to scenario hooks
 
 	// Shard binding: all events touching this port's state run on eng
 	// (shard 0 / the switch's engine until BindPort says otherwise). rng is
@@ -387,9 +336,6 @@ func (s *Switch) SetTopology(t Topology) {
 	s.qcap = t.queueCap()
 }
 
-// Topology returns the active switching model.
-func (s *Switch) Topology() Topology { return s.topo }
-
 // SetFault installs (or clears, with nil) the fault-injection plan.
 func (s *Switch) SetFault(f *Fault) { s.fault = f }
 
@@ -406,7 +352,6 @@ func (s *Switch) Attach(mac wire.MAC, rx Receiver) {
 	s.ports[mac] = &port{
 		mac:     mac,
 		rx:      rx,
-		link:    s.link,
 		node:    int(idx),
 		eng:     s.eng,
 		rng:     s.rng.Derive(0xF0<<56 | idx),
@@ -475,18 +420,6 @@ func (s *Switch) Lookahead() sim.Time {
 		return 0
 	}
 	return s.link.PropagationDelay + s.link.SwitchLatency
-}
-
-// SetPortBandwidth overrides the egress line rate of an attached port.
-func (s *Switch) SetPortBandwidth(mac wire.MAC, bps int64) {
-	p, ok := s.ports[mac]
-	if !ok {
-		panic(fmt.Sprintf("fabric: unknown port %s", mac))
-	}
-	if bps <= 0 {
-		panic(fmt.Sprintf("fabric: non-positive bandwidth %d for port %s", bps, mac))
-	}
-	p.link.BandwidthBps = bps
 }
 
 // PortStats returns a snapshot of the per-port counters for mac.
@@ -612,8 +545,6 @@ func (s *Switch) sendDirect(src, dst *port, f *wire.Frame) {
 // the fault/topology configuration (read-only), and scheduleEgress.
 func (s *Switch) sendQueued(src, dst *port, f *wire.Frame) {
 	now := src.eng.Now()
-	// Ingress always runs at the fabric's default rate: per-port overrides
-	// model the egress direction only (SetPortBandwidth's contract).
 	ser := s.link.SerializationTime(f.WireBytes())
 
 	// Scenario hook, before any source-port state changes: a down link
@@ -710,7 +641,7 @@ func (s *Switch) txStart(p *port) {
 	now := p.eng.Now()
 	p.stats.QueueWait += now - e.at
 	p.txBusy = true
-	ser := p.link.SerializationTime(e.f.WireBytes())
+	ser := s.link.SerializationTime(e.f.WireBytes())
 	arrival := now + ser + s.link.PropagationDelay + p.rng.Jitter(0, s.link.JitterSD)
 	s.deliver(p, e.f, arrival)
 	p.eng.ScheduleArg(now+ser, s.txDoneFn, p)

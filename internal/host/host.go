@@ -19,7 +19,7 @@ const (
 	// behaviour of the paper's platform ("interrupts are usually scattered
 	// across all processor cores by the hardware chipset").
 	IRQRoundRobin IRQPolicy = iota
-	// IRQSingleCore binds all interrupts to one core (the paper's
+	// IRQSingleCore binds all interrupts to core 0 (the paper's
 	// "interrupts on single core" configurations).
 	IRQSingleCore
 	// IRQPerQueue routes each NIC queue to a fixed core (multiqueue
@@ -62,9 +62,8 @@ type Host struct {
 	P     params.Host
 	Cores []*Core
 
-	policy    IRQPolicy
-	fixedCore int
-	rrNext    int
+	policy IRQPolicy
+	rrNext int
 }
 
 // New creates a host with the configured number of cores.
@@ -82,15 +81,8 @@ func New(eng *sim.Engine, id int, p params.Host) *Host {
 // Engine returns the simulation engine driving this host.
 func (h *Host) Engine() *sim.Engine { return h.eng }
 
-// SetIRQPolicy configures interrupt routing. core is only used by
-// IRQSingleCore.
-func (h *Host) SetIRQPolicy(p IRQPolicy, core int) {
-	if core < 0 || core >= len(h.Cores) {
-		panic(fmt.Sprintf("host: bad IRQ core %d", core))
-	}
-	h.policy = p
-	h.fixedCore = core
-}
+// SetIRQPolicy configures interrupt routing.
+func (h *Host) SetIRQPolicy(p IRQPolicy) { h.policy = p }
 
 // IRQPolicy returns the active routing policy.
 func (h *Host) IRQPolicy() IRQPolicy { return h.policy }
@@ -100,7 +92,7 @@ func (h *Host) IRQPolicy() IRQPolicy { return h.policy }
 func (h *Host) IRQTarget(queue int) *Core {
 	switch h.policy {
 	case IRQSingleCore:
-		return h.Cores[h.fixedCore]
+		return h.Cores[0]
 	case IRQPerQueue:
 		return h.Cores[queue%len(h.Cores)]
 	default:

@@ -198,7 +198,7 @@ func TestBusyReporting(t *testing.T) {
 func TestIRQRoundRobinRouting(t *testing.T) {
 	eng, h := testHost(false)
 	_ = eng
-	h.SetIRQPolicy(IRQRoundRobin, 0)
+	h.SetIRQPolicy(IRQRoundRobin)
 	seen := map[int]int{}
 	for i := 0; i < 16; i++ {
 		seen[h.IRQTarget(0).ID]++
@@ -215,9 +215,9 @@ func TestIRQRoundRobinRouting(t *testing.T) {
 
 func TestIRQSingleCoreRouting(t *testing.T) {
 	_, h := testHost(false)
-	h.SetIRQPolicy(IRQSingleCore, 3)
+	h.SetIRQPolicy(IRQSingleCore)
 	for i := 0; i < 8; i++ {
-		if c := h.IRQTarget(i); c.ID != 3 {
+		if c := h.IRQTarget(i); c.ID != 0 {
 			t.Fatalf("single-core routing hit core %d", c.ID)
 		}
 	}
@@ -225,7 +225,7 @@ func TestIRQSingleCoreRouting(t *testing.T) {
 
 func TestIRQPerQueueRouting(t *testing.T) {
 	_, h := testHost(false)
-	h.SetIRQPolicy(IRQPerQueue, 0)
+	h.SetIRQPolicy(IRQPerQueue)
 	for q := 0; q < 16; q++ {
 		if c := h.IRQTarget(q); c.ID != q%len(h.Cores) {
 			t.Fatalf("queue %d routed to core %d", q, c.ID)
@@ -256,7 +256,7 @@ func TestZeroDurationUserWork(t *testing.T) {
 
 func TestManyInterruptsAccounting(t *testing.T) {
 	eng, h := testHost(true)
-	h.SetIRQPolicy(IRQRoundRobin, 0)
+	h.SetIRQPolicy(IRQRoundRobin)
 	const n = 100
 	gap := 20 * sim.Microsecond // long enough for cores to re-sleep
 	for i := 0; i < n; i++ {

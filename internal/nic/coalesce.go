@@ -89,19 +89,19 @@ func newCoalescer(cfg Config, q *rxQueue) coalescer {
 	case StrategyDisabled:
 		return &disabledCoalescer{q: q}
 	case StrategyTimeout:
-		c := &timeoutCoalescer{q: q, delay: cfg.Delay, maxFrames: cfg.MaxFrames}
+		c := &timeoutCoalescer{q: q, delay: cfg.Delay}
 		c.bindTimer()
 		return c
 	case StrategyOpenMX:
-		c := &omxCoalescer{timeoutCoalescer{q: q, delay: cfg.Delay, maxFrames: cfg.MaxFrames}}
+		c := &omxCoalescer{timeoutCoalescer{q: q, delay: cfg.Delay}}
 		c.bindTimer()
 		return c
 	case StrategyStream:
-		c := &streamCoalescer{omxCoalescer{timeoutCoalescer{q: q, delay: cfg.Delay, maxFrames: cfg.MaxFrames}}, false}
+		c := &streamCoalescer{omxCoalescer{timeoutCoalescer{q: q, delay: cfg.Delay}}, false}
 		c.bindTimer()
 		return c
 	case StrategyAdaptive:
-		c := &adaptiveCoalescer{timeoutCoalescer: timeoutCoalescer{q: q, delay: cfg.Delay, maxFrames: cfg.MaxFrames}}
+		c := &adaptiveCoalescer{timeoutCoalescer: timeoutCoalescer{q: q, delay: cfg.Delay}}
 		p := q.nic.p.NIC
 		if c.delay < p.AdaptiveMin {
 			c.delay = p.AdaptiveMin
@@ -111,7 +111,7 @@ func newCoalescer(cfg Config, q *rxQueue) coalescer {
 	case StrategyFeedback:
 		p := q.nic.p.NIC
 		c := &feedbackCoalescer{
-			timeoutCoalescer: timeoutCoalescer{q: q, delay: cfg.Delay, maxFrames: cfg.MaxFrames},
+			timeoutCoalescer: timeoutCoalescer{q: q, delay: cfg.Delay},
 			goal:             cfg.Feedback.withDefaults(p),
 			step:             p.FeedbackStep,
 			min:              p.AdaptiveMin,
@@ -129,7 +129,7 @@ func newCoalescer(cfg Config, q *rxQueue) coalescer {
 		// embedded timeoutCoalescer's non-virtual fireTimeout would skip.
 		c.timerFn = func() {
 			c.timer = nil
-			c.fireObserved(false)
+			c.fireObserved()
 		}
 		return c
 	default:
@@ -174,17 +174,14 @@ func (c *disabledCoalescer) onBacklog() {
 
 func (c *disabledCoalescer) currentDelay() sim.Time { return 0 }
 
-// timeoutCoalescer: classic delay (+ optional max-frames) coalescing. The
-// timer is armed by the first completion after the previous interrupt, so an
-// isolated packet waits the full delay — the latency cost the paper
-// measures in Fig. 5.
+// timeoutCoalescer: classic delay coalescing. The timer is armed by the
+// first completion after the previous interrupt, so an isolated packet
+// waits the full delay — the latency cost the paper measures in Fig. 5.
 type timeoutCoalescer struct {
-	q         *rxQueue
-	delay     sim.Time
-	maxFrames int
-	timer     *sim.Event
-	count     int
-	timerFn   func() // bound once so arming the timer never allocates
+	q       *rxQueue
+	delay   sim.Time
+	timer   *sim.Event
+	timerFn func() // bound once so arming the timer never allocates
 }
 
 // bindTimer creates the coalescing timer callback once; fireTimeout is
@@ -202,14 +199,7 @@ func (c *timeoutCoalescer) Name() string {
 func (c *timeoutCoalescer) inspectsMarkers() bool { return false }
 
 //omxlint:hotpath
-func (c *timeoutCoalescer) onDMAComplete(d *RxDesc, pending int) {
-	c.count++
-	if c.maxFrames > 0 && c.count >= c.maxFrames {
-		c.fire()
-		return
-	}
-	c.arm()
-}
+func (c *timeoutCoalescer) onDMAComplete(d *RxDesc, pending int) { c.arm() }
 
 func (c *timeoutCoalescer) onBacklog() { c.arm() }
 
@@ -227,20 +217,9 @@ func (c *timeoutCoalescer) arm() {
 
 //omxlint:hotpath
 func (c *timeoutCoalescer) fireTimeout() {
-	c.count = 0
 	if c.q.completed.Len() == 0 {
 		return
 	}
-	c.q.nic.requestInterrupt(c.q, causeTimeout)
-}
-
-//omxlint:hotpath
-func (c *timeoutCoalescer) fire() {
-	if c.timer != nil {
-		c.timer.Cancel()
-		c.timer = nil
-	}
-	c.count = 0
 	c.q.nic.requestInterrupt(c.q, causeTimeout)
 }
 
@@ -275,7 +254,6 @@ func (c *omxCoalescer) raiseMarked() {
 		c.timer.Cancel()
 		c.timer = nil
 	}
-	c.count = 0
 	c.q.nic.requestInterrupt(c.q, causeMarked)
 }
 
@@ -330,7 +308,6 @@ func (c *streamCoalescer) raiseDeferred() {
 		c.timer.Cancel()
 		c.timer = nil
 	}
-	c.count = 0
 	c.q.nic.requestInterrupt(c.q, causeMarked)
 }
 
@@ -452,26 +429,16 @@ func (c *feedbackCoalescer) inspectsMarkers() bool { return false }
 //omxlint:hotpath
 func (c *feedbackCoalescer) onDMAComplete(d *RxDesc, pending int) {
 	c.observeWindow()
-	c.count++
-	if c.maxFrames > 0 && c.count >= c.maxFrames {
-		c.fireObserved(true)
-		return
-	}
 	c.arm()
 }
 
 func (c *feedbackCoalescer) onBacklog() { c.arm() }
 
 // fireObserved raises the coalescing interrupt like timeoutCoalescer's
-// fire/fireTimeout, but records it for the controller: unmasked requests
-// (the ones that really interrupt) are counted, and the age of the oldest
+// fireTimeout, but records it for the controller: unmasked requests (the
+// ones that really interrupt) are counted, and the age of the oldest
 // waiting descriptor is sampled as the delivery latency of this window.
-func (c *feedbackCoalescer) fireObserved(cancelTimer bool) {
-	if cancelTimer && c.timer != nil {
-		c.timer.Cancel()
-		c.timer = nil
-	}
-	c.count = 0
+func (c *feedbackCoalescer) fireObserved() {
 	if c.q.completed.Len() == 0 {
 		return
 	}

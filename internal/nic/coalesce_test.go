@@ -7,52 +7,6 @@ import (
 	"openmxsim/internal/sim"
 )
 
-// TestAdaptiveHonorsMaxFrames is the regression test for newCoalescer
-// dropping cfg.MaxFrames when building the adaptive strategy: a burst that
-// reaches the rx-frames bound must interrupt immediately instead of waiting
-// for the (long) adaptive timeout.
-func TestAdaptiveHonorsMaxFrames(t *testing.T) {
-	r := newRig(t, Config{Strategy: StrategyAdaptive, Delay: 75 * sim.Microsecond, MaxFrames: 2})
-	for i := 0; i < 2; i++ {
-		r.inject(0, frame(false, 128))
-	}
-	r.eng.Run()
-	if len(r.drv.processed) != 2 {
-		t.Fatalf("processed %d packets, want 2", len(r.drv.processed))
-	}
-	// With MaxFrames honored the second completion forces the interrupt; the
-	// packets reach the driver long before the 75 us timer would have fired.
-	if got := r.drv.times[0]; got >= 75*sim.Microsecond {
-		t.Errorf("first packet processed at %v, want < 75us (max-frames fire)", got)
-	}
-}
-
-// TestMaxFramesExactHitAllStrategies drives every timeout-based strategy to
-// exactly the MaxFrames bound and checks the interrupt fires at the bound,
-// not at the timer. StrategyDisabled interrupts on the first packet anyway
-// (later requests are absorbed by the in-flight NAPI poll, as in Linux).
-func TestMaxFramesExactHitAllStrategies(t *testing.T) {
-	const maxFrames = 3
-	for _, st := range []Strategy{StrategyDisabled, StrategyTimeout, StrategyOpenMX, StrategyStream, StrategyAdaptive, StrategyFeedback} {
-		t.Run(st.String(), func(t *testing.T) {
-			r := newRig(t, Config{Strategy: st, Delay: 75 * sim.Microsecond, MaxFrames: maxFrames})
-			for i := 0; i < maxFrames; i++ {
-				r.inject(0, frame(false, 128))
-			}
-			r.eng.Run()
-			if len(r.drv.processed) != maxFrames {
-				t.Fatalf("processed %d packets, want %d", len(r.drv.processed), maxFrames)
-			}
-			if r.nic.Stats.Interrupts == 0 {
-				t.Fatal("no interrupt raised")
-			}
-			if got := r.drv.times[0]; got >= 75*sim.Microsecond {
-				t.Errorf("first packet processed at %v, want < 75us", got)
-			}
-		})
-	}
-}
-
 // TestAdaptiveWindowStartsAtTimeZero is the regression test for the
 // windowStart == 0 "unset" sentinel: a completion at simulated time 0 must
 // open the rate window there, so a dense burst inside the first window

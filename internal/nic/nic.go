@@ -110,9 +110,6 @@ type Config struct {
 	// Delay is the coalescing timeout (ignored by StrategyDisabled; the
 	// initial value for StrategyAdaptive).
 	Delay sim.Time
-	// MaxFrames, when > 0, forces an interrupt once this many frames are
-	// waiting (ethtool rx-frames).
-	MaxFrames int
 	// Queues is the number of receive queues (1 = stock single-queue NIC;
 	// > 1 enables the Section VI multiqueue extension).
 	Queues int

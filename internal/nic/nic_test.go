@@ -44,7 +44,7 @@ func newRig(t *testing.T, cfg Config) *rig {
 	p.Link.JitterSD = 0
 	p.Host.SleepEnabled = false
 	hst := host.New(eng, 0, p.Host)
-	hst.SetIRQPolicy(host.IRQSingleCore, 0)
+	hst.SetIRQPolicy(host.IRQSingleCore)
 	sw := fabric.NewSwitch(eng, p.Link, sim.NewRNG(1))
 	n := New(eng, p, hst, sw, wire.NodeMAC(0), cfg)
 	drv := &fakeDriver{cost: 500, eng: eng}
@@ -120,20 +120,6 @@ func TestDisabledLonePacketFast(t *testing.T) {
 	r.eng.Run()
 	if r.drv.times[0] > 5*sim.Microsecond {
 		t.Errorf("uncoalesced packet took %d ns to reach the driver", r.drv.times[0])
-	}
-}
-
-func TestMaxFramesForcesInterrupt(t *testing.T) {
-	r := newRig(t, Config{Strategy: StrategyTimeout, Delay: sim.Millisecond, MaxFrames: 5})
-	for i := 0; i < 5; i++ {
-		r.inject(sim.Time(i)*sim.Microsecond, frame(false, 128))
-	}
-	r.eng.Run()
-	if len(r.drv.processed) != 5 {
-		t.Fatalf("processed %d", len(r.drv.processed))
-	}
-	if last := r.drv.times[4]; last > 100*sim.Microsecond {
-		t.Errorf("5th packet at %d: max-frames did not force early interrupt", last)
 	}
 }
 

@@ -22,14 +22,8 @@ type channel struct {
 	ep     *Endpoint
 	remote Addr
 
-	connected       bool
-	connectCbs      []func()
-	connectTry      *sim.Event
-	connectAttempts int
-
-	// failed is set once the channel gives up (retry budget exhausted or
-	// endpoint closed); every subsequent send completes immediately with
-	// this error.
+	// failed is set once the channel gives up (retry budget exhausted);
+	// every subsequent send completes immediately with this error.
 	failed error
 	// rng jitters the backed-off retry delays. It is derived per channel
 	// and never consumed on clean runs (the first resend after ack
@@ -66,9 +60,8 @@ type channel struct {
 	mediumPending sim.Queue[*sendOp]
 
 	// Timer callbacks, bound once at construction.
-	resendFn       func()
-	kernelAckFn    func()
-	connectRetryFn func()
+	resendFn    func()
+	kernelAckFn func()
 }
 
 // txPacket is one sequenced packet: the retained frame plus the callback to
@@ -122,10 +115,6 @@ func newChannel(ep *Endpoint, remote Addr) *channel {
 			return
 		}
 		c.armKernelAck() // still backed up: check again later
-	}
-	c.connectRetryFn = func() {
-		c.connectTry = nil
-		c.ep.sendConnect(c)
 	}
 	return c
 }
@@ -226,11 +215,10 @@ func (c *channel) retransmit() {
 	c.armResend()
 }
 
-// giveUp abandons the channel: the retry budget is exhausted (or the
-// endpoint is closing), so retained and queued packets are dropped, their
-// handles complete with err, and large sends toward the peer — which wait
-// for a Notify that can never arrive — fail too. Pending connect callbacks
-// are discarded; run-level liveness is the watchdog's job.
+// giveUp abandons the channel: the retry budget is exhausted, so retained
+// and queued packets are dropped, their handles complete with err, and
+// large sends toward the peer — which wait for a Notify that can never
+// arrive — fail too. Run-level liveness is the watchdog's job.
 func (c *channel) giveUp(err error) {
 	if c.failed != nil {
 		return
@@ -269,11 +257,6 @@ func (c *channel) teardown(err error) {
 		c.resendTimer.Cancel()
 		c.resendTimer = nil
 	}
-	if c.connectTry != nil {
-		c.connectTry.Cancel()
-		c.connectTry = nil
-	}
-	c.connectCbs = nil
 	for c.retained.Len() > 0 {
 		// Handed to the NIC already: the handoff callback ran at pump
 		// time, only the retention reference remains.

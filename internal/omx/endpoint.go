@@ -14,8 +14,7 @@ import (
 type SendHandle struct {
 	Done bool
 	// Err is non-nil when the operation was abandoned rather than
-	// delivered: ErrGiveUp after the retry budget ran out, ErrClosed when
-	// the endpoint closed underneath it.
+	// delivered: ErrGiveUp after the retry budget ran out.
 	Err    error
 	Size   int
 	onDone func()
@@ -48,8 +47,7 @@ type RecvHandle struct {
 	Done bool
 	// Err is non-nil when the receive was abandoned rather than
 	// delivered: ErrGiveUp when a large-message pull exhausted its retry
-	// budget, ErrClosed when the endpoint closed. Len and Buf contents
-	// are meaningless in that case.
+	// budget. Len and Buf contents are meaningless in that case.
 	Err   error
 	Match uint64
 	Mask  uint64
@@ -146,8 +144,7 @@ type Endpoint struct {
 	core  *host.Core
 	// rng jitters the pull-retry backoff; its stream is derived from the
 	// stack's and never consumed on clean (retry-free) runs.
-	rng    *sim.RNG
-	closed bool
+	rng *sim.RNG
 
 	channels  map[Addr]*channel
 	nextMsgID uint32
@@ -252,52 +249,6 @@ func (e *Endpoint) channelFor(a Addr) *channel {
 	return c
 }
 
-// Connect opens the channel to addr and calls cb once the handshake
-// completes. Intra-node channels connect immediately.
-func (e *Endpoint) Connect(addr Addr, cb func()) {
-	if e.stack.localEndpoint(addr) != nil {
-		if cb != nil {
-			e.core.SubmitUser(e.stack.p.Lib.SendPost, cb)
-		}
-		return
-	}
-	c := e.channelFor(addr)
-	if c.connected {
-		if cb != nil {
-			cb()
-		}
-		return
-	}
-	if cb != nil {
-		c.connectCbs = append(c.connectCbs, cb)
-	}
-	e.core.SubmitUser(e.stack.p.Lib.SendPost, func() {
-		e.sendConnect(c)
-	})
-}
-
-func (e *Endpoint) sendConnect(c *channel) {
-	if c.connected || c.failed != nil {
-		return
-	}
-	if mr := e.stack.p.Proto.MaxResends; mr > 0 && c.connectAttempts > mr {
-		c.giveUp(ErrGiveUp)
-		return
-	}
-	c.connectAttempts++
-	h := wire.Header{Type: wire.TypeConnect, SrcEP: e.ID, DstEP: c.remote.EP}
-	e.stack.sendFrame(e.stack.newFrame(e.stack.MAC(), c.remote.MAC, h, nil, 0))
-	if c.connectTry != nil {
-		c.connectTry.Cancel()
-	}
-	d := e.stack.p.Proto.ResendTimeout
-	if c.connectAttempts > 1 {
-		d = backoffDelay(&e.stack.p.Proto, c.rng, c.connectAttempts-1)
-		e.stack.Stats.Backoffs++
-	}
-	c.connectTry = e.stack.eng.After(d, c.connectRetryFn)
-}
-
 // Isend posts a non-blocking send. data may be nil for size-only
 // simulation. onDone (optional) fires in engine context at completion.
 func (e *Endpoint) Isend(dst Addr, match uint64, data []byte, size int, onDone func()) *SendHandle {
@@ -305,10 +256,6 @@ func (e *Endpoint) Isend(dst Addr, match uint64, data []byte, size int, onDone f
 		size = len(data)
 	}
 	h := &SendHandle{Size: size, onDone: onDone}
-	if e.closed {
-		h.fail(ErrClosed)
-		return h
-	}
 	p := e.stack.p
 
 	if local := e.stack.localEndpoint(dst); local != nil {
@@ -334,10 +281,6 @@ func (e *Endpoint) Irecv(match, mask uint64, buf []byte, capacity int, onDone fu
 		capacity = len(buf)
 	}
 	rh := &RecvHandle{Match: match, Mask: mask, Buf: buf, Cap: capacity, onDone: onDone}
-	if e.closed {
-		rh.fail(ErrClosed)
-		return rh
-	}
 	p := e.stack.p
 	cost := p.Lib.RecvPost + p.Lib.Match
 	e.core.SubmitUserArg(cost, e.matchOrPostFn, rh)

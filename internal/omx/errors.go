@@ -8,7 +8,3 @@ import "errors"
 // retransmitting. Handles complete with Err set to this value instead of
 // hanging the simulation on a dead link.
 var ErrGiveUp = errors.New("omx: peer unreachable (retry budget exhausted)")
-
-// ErrClosed surfaces operations outstanding when their endpoint was
-// closed.
-var ErrClosed = errors.New("omx: endpoint closed")

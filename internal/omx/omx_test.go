@@ -50,18 +50,6 @@ func defaultRig(t *testing.T) *rig {
 	return newRig(t, nic.StrategyTimeout, 75*sim.Microsecond)
 }
 
-func TestConnectHandshake(t *testing.T) {
-	r := defaultRig(t)
-	done := false
-	r.eng.After(0, func() {
-		r.a.Connect(r.b.Addr(), func() { done = true })
-	})
-	r.eng.Run()
-	if !done {
-		t.Fatal("connect callback never fired")
-	}
-}
-
 func TestSmallMessageData(t *testing.T) {
 	r := defaultRig(t)
 	payload := []byte("hello open-mx world")

@@ -6,7 +6,6 @@ import (
 
 	"openmxsim/internal/fabric"
 	"openmxsim/internal/sim"
-	"openmxsim/internal/wire"
 )
 
 // TestLargeSendGiveUpWithinBudget: with every frame lost, a rendezvous
@@ -104,57 +103,4 @@ func TestBackoffResetsOnProgress(t *testing.T) {
 	if r.stackA.Stats.GiveUps+r.stackB.Stats.GiveUps != 0 {
 		t.Error("transfer gave up despite making progress")
 	}
-}
-
-// TestCloseCancelsPullRetryTimers is the regression test for the
-// endpoint-close fix: closing the puller mid-transfer (with every pull
-// reply dropped, so all block retry timers are armed) must cancel those
-// timers — the retry counters freeze at close, no request is issued
-// against the closed endpoint, and the engine drains.
-func TestCloseCancelsPullRetryTimers(t *testing.T) {
-	r := defaultRig(t)
-	// Lose only the pull replies: rendezvous and pull requests flow, so
-	// the receiver's per-block retry timers are armed and re-arming.
-	r.sw.SetFault(&fabric.Fault{
-		DropProb: 1,
-		Filter:   func(f *wire.Frame) bool { return f.Header.Type == wire.TypePullReply },
-	})
-	size := 256 << 10
-	var got *RecvHandle
-	r.eng.After(0, func() {
-		r.b.Irecv(7, ^uint64(0), nil, size, func(rh *RecvHandle) { got = rh })
-		r.a.Isend(r.b.Addr(), 7, nil, size, nil)
-	})
-
-	var retriesAtClose, requestsAtClose uint64
-	r.eng.After(60*sim.Millisecond, func() {
-		if r.stackB.Stats.PullBlockRetries == 0 {
-			t.Error("setup failed: no pull retries before close")
-		}
-		r.b.Close()
-		r.b.Close() // idempotent
-		retriesAtClose = r.stackB.Stats.PullBlockRetries
-		requestsAtClose = r.stackB.Stats.PullRequestsSent
-	})
-	r.eng.Run()
-
-	if got == nil || !errors.Is(got.Err, ErrClosed) {
-		t.Fatalf("pending receive should fail with ErrClosed, got %v", recvErr(got))
-	}
-	if n := r.stackB.Stats.PullBlockRetries; n != retriesAtClose {
-		t.Errorf("pull retries kept firing after Close: %d -> %d", retriesAtClose, n)
-	}
-	if n := r.stackB.Stats.PullRequestsSent; n != requestsAtClose {
-		t.Errorf("pull requests issued against a closed endpoint: %d -> %d", requestsAtClose, n)
-	}
-	if r.stackB.Stats.GiveUps != 0 {
-		t.Errorf("close converted into %d give-ups", r.stackB.Stats.GiveUps)
-	}
-}
-
-func recvErr(rh *RecvHandle) error {
-	if rh == nil {
-		return errors.New("nil handle")
-	}
-	return rh.Err
 }

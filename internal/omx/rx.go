@@ -25,10 +25,7 @@ func (e *Endpoint) rxCost(f *wire.Frame, cold bool) (sim.Time, *pullState) {
 	base := p.Host.RxHandlerPacket
 
 	switch h.Type {
-	case wire.TypeConnect, wire.TypeConnectReply:
-		return base + p.Driver.ConnectCost, nil
-
-	case wire.TypeAck, wire.TypeNack:
+	case wire.TypeAck:
 		return base + p.Driver.AckCost, nil
 
 	case wire.TypeTiny, wire.TypeSmall:
@@ -78,33 +75,8 @@ func (e *Endpoint) rxApply(f *wire.Frame, core *host.Core, ps *pullState) {
 	src := Addr{MAC: f.Src, EP: h.SrcEP}
 
 	switch h.Type {
-	case wire.TypeConnect:
-		c := e.channelFor(src)
-		c.lastRxCoreID = core.ID
-		reply := wire.Header{Type: wire.TypeConnectReply, SrcEP: e.ID, DstEP: src.EP}
-		e.stack.sendFrame(e.stack.newFrame(e.stack.MAC(), src.MAC, reply, nil, 0))
-
-	case wire.TypeConnectReply:
-		c := e.channelFor(src)
-		if c.connected {
-			return
-		}
-		c.connected = true
-		if c.connectTry != nil {
-			c.connectTry.Cancel()
-			c.connectTry = nil
-		}
-		cbs := c.connectCbs
-		c.connectCbs = nil
-		for _, cb := range cbs {
-			cb()
-		}
-
 	case wire.TypeAck:
 		e.channelFor(src).onAck(h.Aux)
-
-	case wire.TypeNack:
-		e.channelFor(src).retransmit()
 
 	case wire.TypeTiny, wire.TypeSmall:
 		c := e.channelFor(src)

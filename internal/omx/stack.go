@@ -72,7 +72,7 @@ type Stats struct {
 	NacksSent                         uint64
 	// Robustness counters: Backoffs counts retry timers armed past the
 	// base ResendTimeout (consecutive losses), GiveUps counts operations
-	// abandoned after MaxResends attempts (channel, connect, or pull).
+	// abandoned after MaxResends attempts (channel or pull).
 	Backoffs, GiveUps uint64
 }
 

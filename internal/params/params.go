@@ -65,8 +65,6 @@ type NIC struct {
 	// TxSetup and TxBandwidthBps model the transmit-side DMA read.
 	TxSetup        sim.Time
 	TxBandwidthBps int64
-	// DefaultCoalesceDelay is the stock myri10ge rx-usecs value.
-	DefaultCoalesceDelay sim.Time
 	// RxRingEntries is the completion-ring capacity; overflow drops frames.
 	RxRingEntries int
 	// AdaptiveMin/Max bound the adaptive strategy's delay range and
@@ -197,12 +195,12 @@ type Proto struct {
 	// MaxResends attempts).
 	ResendBackoffMax sim.Time
 	// MaxResends bounds consecutive unacknowledged retries of each
-	// reliability timer — the channel resend timer, the per-block pull
-	// retry timer, and the connect retry. Once exhausted the operation
-	// gives up: the channel fails, outstanding handles complete with
-	// ErrGiveUp, and Stats.GiveUps is incremented, instead of
-	// retransmitting forever into a dead link. Zero or negative restores
-	// the historic retry-forever behaviour.
+	// reliability timer — the channel resend timer and the per-block pull
+	// retry timer. Once exhausted the operation gives up: the channel
+	// fails, outstanding handles complete with ErrGiveUp, and
+	// Stats.GiveUps is incremented, instead of retransmitting forever into
+	// a dead link. Zero or negative restores the historic retry-forever
+	// behaviour.
 	MaxResends int
 	// SendWindow is the per-peer limit on outstanding unacked packets.
 	SendWindow int
@@ -247,8 +245,6 @@ type Driver struct {
 	EventWrite sim.Time
 	// AckCost is the cost to generate or process one ack.
 	AckCost sim.Time
-	// ConnectCost is the per-packet cost of connection management.
-	ConnectCost sim.Time
 }
 
 // Lib models the user-space MX library.
@@ -311,20 +307,19 @@ func Default() *Params {
 			FrameOverheadBytes: 24, // preamble 8 + FCS 4 + IFG 12
 		},
 		NIC: NIC{
-			FirmwareRxPacket:     150,
-			FirmwareStreamExtra:  60,
-			DMASetup:             350,
-			DMABandwidthBps:      16_000_000_000, // PCIe x8 effective
-			MSIDelivery:          250,
-			TxSetup:              300,
-			TxBandwidthBps:       16_000_000_000,
-			DefaultCoalesceDelay: 75 * sim.Microsecond,
-			RxRingEntries:        4096,
-			AdaptiveMin:          5 * sim.Microsecond,
-			AdaptiveMax:          100 * sim.Microsecond,
-			AdaptiveWindow:       200 * sim.Microsecond,
-			FeedbackWindow:       200 * sim.Microsecond,
-			FeedbackStep:         5 * sim.Microsecond,
+			FirmwareRxPacket:    150,
+			FirmwareStreamExtra: 60,
+			DMASetup:            350,
+			DMABandwidthBps:     16_000_000_000, // PCIe x8 effective
+			MSIDelivery:         250,
+			TxSetup:             300,
+			TxBandwidthBps:      16_000_000_000,
+			RxRingEntries:       4096,
+			AdaptiveMin:         5 * sim.Microsecond,
+			AdaptiveMax:         100 * sim.Microsecond,
+			AdaptiveWindow:      200 * sim.Microsecond,
+			FeedbackWindow:      200 * sim.Microsecond,
+			FeedbackStep:        5 * sim.Microsecond,
 
 			FeedbackTargetIntrPerSec: 20_000,
 			FeedbackMaxLatency:       40 * sim.Microsecond, // ~half the worst fig5 latency cost
@@ -371,7 +366,6 @@ func Default() *Params {
 			PullRequestCost:        400,
 			EventWrite:             170,
 			AckCost:                420,
-			ConnectCost:            500,
 		},
 		Lib: Lib{
 			SendPost:         420,

@@ -10,29 +10,17 @@ import (
 
 // Background describes bulk traffic congesting the ping-pong receiver's
 // port: Streams senders (one per extra node, nodes 2..2+Streams-1) each
-// keep Chains back-to-back bulk sends running toward dedicated endpoints
-// on node 1, so their frames share node 1's egress port and receive path
-// with the latency-sensitive ping-pong.
+// keep one back-to-back chain of bgSize sends running toward a dedicated
+// endpoint on node 1, so their frames share node 1's egress port and
+// receive path with the latency-sensitive ping-pong.
 type Background struct {
 	// Streams is the number of background bulk senders (0 = no load).
 	Streams int
-	// Size is the bulk message size; <= 0 selects 64 KiB (large enough for
-	// the rendezvous/pull path, the paper's throughput regime).
-	Size int
-	// Chains is the number of concurrent send chains per sender; <= 0
-	// selects 1.
-	Chains int
 }
 
-func (b Background) normalized() Background {
-	if b.Size <= 0 {
-		b.Size = 64 << 10
-	}
-	if b.Chains <= 0 {
-		b.Chains = 1
-	}
-	return b
-}
+// bgSize is the background bulk message size: large enough for the
+// rendezvous/pull path, the paper's throughput regime.
+const bgSize = 64 << 10
 
 // runLoadedPingPong is RunPingPong with bg.Streams > 0 background bulk
 // senders on nodes 2.. aimed at node 1. The background chains stop
@@ -66,22 +54,20 @@ func runLoadedPingPong(cfg cluster.Config, sizes []int, iters int, bg Background
 		rcv := cl.Stacks[1].Open(uint8(1+i), rcvCores[(2+i)%len(rcvCores)])
 
 		var onRecv func(*omx.RecvHandle)
-		onRecv = func(*omx.RecvHandle) { rcv.Irecv(0, 0, nil, bg.Size, onRecv) }
+		onRecv = func(*omx.RecvHandle) { rcv.Irecv(0, 0, nil, bgSize, onRecv) }
 		dst := rcv.Addr()
 		var chain func()
 		chain = func() {
 			if stop {
 				return
 			}
-			snd.Isend(dst, 1, nil, bg.Size, chain)
+			snd.Isend(dst, 1, nil, bgSize, chain)
 		}
 		cl.Eng.After(0, func() {
 			for k := 0; k < 32; k++ {
-				rcv.Irecv(0, 0, nil, bg.Size, onRecv)
+				rcv.Irecv(0, 0, nil, bgSize, onRecv)
 			}
-			for k := 0; k < bg.Chains; k++ {
-				chain()
-			}
+			chain()
 		})
 	}
 

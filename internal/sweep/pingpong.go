@@ -89,7 +89,7 @@ func RunPingPong(cfg cluster.Config, sizes []int, iters int, bg Background) (Pin
 		return PingPongOutcome{}, err
 	}
 	if bg.Streams > 0 {
-		return runLoadedPingPong(cfg, sizes, iters, bg.normalized())
+		return runLoadedPingPong(cfg, sizes, iters, bg)
 	}
 	// The two ranks share the result map and panic slot in runPingPong, so
 	// the harness stays on the single-engine reference at any requested

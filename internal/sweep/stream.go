@@ -7,17 +7,15 @@ import (
 )
 
 // StreamSpec describes a unidirectional message-rate measurement: a sender
-// on node 0 keeps `Chains` back-to-back send chains running toward a
-// receiver on node 1, which reposts wildcard receives. The receiver side
+// on node 0 keeps 8 back-to-back send chains running toward a receiver on
+// node 1, which reposts wildcard receives. Above 256 KiB it runs 4 chains,
+// because fewer large pulls already saturate the link. The receiver side
 // is where interrupts matter (the paper's Table I is measured there).
 // This is the canonical stream harness; the experiment runners in
 // internal/exp delegate to it.
 type StreamSpec struct {
 	Cluster cluster.Config
 	Size    int
-	// Chains <= 0 picks the default: 8 concurrent chains, dropping to 4
-	// above 256 KiB where fewer large pulls already saturate the link.
-	Chains  int
 	Warmup  sim.Time
 	Measure sim.Time
 }
@@ -38,11 +36,9 @@ type StreamResult struct {
 
 // RunStream builds a cluster from the spec and runs the measurement.
 func RunStream(spec StreamSpec) StreamResult {
-	if spec.Chains <= 0 {
-		spec.Chains = 8
-		if spec.Size > 256<<10 {
-			spec.Chains = 4
-		}
+	chains := 8
+	if spec.Size > 256<<10 {
+		chains = 4
 	}
 	cl := cluster.New(spec.Cluster)
 	// Application processes pinned away from the default IRQ core (core
@@ -76,7 +72,7 @@ func RunStream(spec StreamSpec) StreamResult {
 		}
 	})
 	cl.ScheduleOn(0, 0, func() {
-		for i := 0; i < spec.Chains; i++ {
+		for i := 0; i < chains; i++ {
 			chain()
 		}
 	})

@@ -71,8 +71,8 @@ type Grid struct {
 	// strategy/delay axes at any background level.
 	Rate bool
 	// RateWarmup and RateMeasure bound the rate measurement windows
-	// (defaults 10 ms and 50 ms of virtual time, matching the single-shot
-	// MessageRate harness in internal/exp).
+	// (defaults 10 ms and 50 ms of virtual time, matching the public
+	// MessageRate).
 	RateWarmup, RateMeasure sim.Time
 	// Par is the per-point simulation parallelism (cluster.Config
 	// .Parallelism): every point's cluster shards across this many engines.

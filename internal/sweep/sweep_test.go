@@ -91,26 +91,6 @@ func TestGridNormalizedEdgeCases(t *testing.T) {
 	}
 }
 
-// TestBackgroundNormalizedEdgeCases pins Background's zero/negative
-// handling: Size and Chains come back at their documented defaults while
-// an explicit positive value survives, and Streams passes through for
-// RunPingPong to gate on.
-func TestBackgroundNormalizedEdgeCases(t *testing.T) {
-	for i, b := range []Background{{}, {Size: 0, Chains: 0}, {Size: -64 << 10, Chains: -2}} {
-		n := b.normalized()
-		if n.Size != 64<<10 {
-			t.Errorf("case %d: Size = %d, want 64KiB", i, n.Size)
-		}
-		if n.Chains != 1 {
-			t.Errorf("case %d: Chains = %d, want 1", i, n.Chains)
-		}
-	}
-	n := Background{Streams: 3, Size: 4096, Chains: 2}.normalized()
-	if n.Streams != 3 || n.Size != 4096 || n.Chains != 2 {
-		t.Errorf("normalized rewrote explicit values: %+v", n)
-	}
-}
-
 // TestGridParClamp pins the parallelism clamp in normalized: zero and
 // negative requests mean the serial default, anything beyond the machine's
 // core count is pulled back to NumCPU, and in-range values survive.

@@ -229,15 +229,6 @@ func (t *Tradeoff) Score(latencyWeight float64) (Point, bool) {
 	return t.Points[i], true
 }
 
-// FrontPoints returns the Pareto-optimal points, latency ascending.
-func (t *Tradeoff) FrontPoints() []Point {
-	pts := make([]Point, len(t.Front))
-	for k, i := range t.Front {
-		pts[k] = t.Points[i]
-	}
-	return pts
-}
-
 // JSON renders the analysis as indented JSON; equal inputs yield
 // byte-identical output.
 func (t *Tradeoff) JSON() ([]byte, error) {

@@ -5,10 +5,9 @@
 // The format follows the structure of the Myrinet Express over Ethernet
 // specification as described in the paper: eager small messages (single
 // packet), eager medium fragments, and the rendezvous / pull-request /
-// pull-reply / notify packets of the large-message protocol, plus acks and
-// connection management. The one addition over stock MXoE is the
-// latency-sensitive marker flag set by the sender driver, which is the
-// paper's contribution (Section III-B).
+// pull-reply / notify packets of the large-message protocol, plus acks. The
+// one addition over stock MXoE is the latency-sensitive marker flag set by
+// the sender driver, which is the paper's contribution (Section III-B).
 //
 // # Frame ownership and recycling
 //
@@ -37,15 +36,11 @@
 package wire
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 )
-
-// EtherTypeOMX is Open-MX's registered EtherType.
-const EtherTypeOMX = 0x86DF
 
 // EthernetHeaderLen is the classic dst+src+type framing length.
 const EthernetHeaderLen = 14
@@ -63,10 +58,6 @@ const (
 	// TypeInvalid marks an intentionally malformed packet (used by the
 	// interrupt-overhead microbenchmark: dropped immediately on receive).
 	TypeInvalid PacketType = iota
-	// TypeConnect opens a communication channel between two endpoints.
-	TypeConnect
-	// TypeConnectReply completes the connect handshake.
-	TypeConnectReply
 	// TypeTiny is an eager message up to 32 bytes (data inline with event).
 	TypeTiny
 	// TypeSmall is an eager message up to 128 bytes, one packet.
@@ -83,14 +74,12 @@ const (
 	TypeNotify
 	// TypeAck acknowledges received eager messages (cumulative).
 	TypeAck
-	// TypeNack requests retransmission after a drop was detected.
-	TypeNack
 	typeCount
 )
 
 var typeNames = [...]string{
-	"invalid", "connect", "connect-reply", "tiny", "small", "medium-frag",
-	"rendezvous", "pull-request", "pull-reply", "notify", "ack", "nack",
+	"invalid", "tiny", "small", "medium-frag", "rendezvous", "pull-request",
+	"pull-reply", "notify", "ack",
 }
 
 func (t PacketType) String() string {
@@ -118,7 +107,8 @@ const (
 
 // Header is the fixed-size Open-MX packet header.
 //
-// Layout (32 bytes, big-endian):
+// Frames travel as structs; the layout below is the on-wire encoding
+// whose size HeaderLen charges (32 bytes, big-endian):
 //
 //	0     version
 //	1     type
@@ -151,53 +141,11 @@ type Header struct {
 // Marked reports whether the latency-sensitive flag is set.
 func (h *Header) Marked() bool { return h.Flags&FlagLatencySensitive != 0 }
 
-// Errors returned by Decode and Validate.
+// Errors returned by Validate.
 var (
-	ErrShortBuffer = errors.New("wire: buffer shorter than header")
-	ErrBadVersion  = errors.New("wire: unsupported version")
-	ErrBadType     = errors.New("wire: invalid packet type")
+	ErrBadVersion = errors.New("wire: unsupported version")
+	ErrBadType    = errors.New("wire: invalid packet type")
 )
-
-// Encode writes the header into buf, which must be at least HeaderLen bytes.
-func (h *Header) Encode(buf []byte) error {
-	if len(buf) < HeaderLen {
-		return ErrShortBuffer
-	}
-	buf[0] = h.Version
-	buf[1] = uint8(h.Type)
-	buf[2] = h.Flags
-	buf[3] = h.SrcEP
-	buf[4] = h.DstEP
-	buf[5] = 0
-	binary.BigEndian.PutUint16(buf[6:8], h.Length)
-	binary.BigEndian.PutUint32(buf[8:12], h.Seq)
-	binary.BigEndian.PutUint32(buf[12:16], h.MsgID)
-	binary.BigEndian.PutUint64(buf[16:24], h.Match)
-	binary.BigEndian.PutUint32(buf[24:28], h.Aux)
-	binary.BigEndian.PutUint16(buf[28:30], h.FragIndex)
-	binary.BigEndian.PutUint16(buf[30:32], h.FragCount)
-	return nil
-}
-
-// Decode parses a header from buf without validating semantic fields.
-func (h *Header) Decode(buf []byte) error {
-	if len(buf) < HeaderLen {
-		return ErrShortBuffer
-	}
-	h.Version = buf[0]
-	h.Type = PacketType(buf[1])
-	h.Flags = buf[2]
-	h.SrcEP = buf[3]
-	h.DstEP = buf[4]
-	h.Length = binary.BigEndian.Uint16(buf[6:8])
-	h.Seq = binary.BigEndian.Uint32(buf[8:12])
-	h.MsgID = binary.BigEndian.Uint32(buf[12:16])
-	h.Match = binary.BigEndian.Uint64(buf[16:24])
-	h.Aux = binary.BigEndian.Uint32(buf[24:28])
-	h.FragIndex = binary.BigEndian.Uint16(buf[28:30])
-	h.FragCount = binary.BigEndian.Uint16(buf[30:32])
-	return nil
-}
 
 // Validate checks version and type. The receive handler drops packets that
 // fail validation (this is the path the overhead microbenchmark exercises).
@@ -377,63 +325,3 @@ func (f *Frame) WireBytes() int {
 
 // Marked reports whether the frame carries the latency-sensitive marker.
 func (f *Frame) Marked() bool { return f.Header.Marked() }
-
-// EncodeFrame serializes the full frame (framing + header + payload) for
-// tests that exercise the byte-level format end to end.
-func EncodeFrame(f *Frame) []byte {
-	buf := make([]byte, EthernetHeaderLen+HeaderLen+f.PayloadLen)
-	copy(buf[0:6], f.Dst[:])
-	copy(buf[6:12], f.Src[:])
-	binary.BigEndian.PutUint16(buf[12:14], EtherTypeOMX)
-	if err := f.Header.Encode(buf[EthernetHeaderLen:]); err != nil {
-		panic(err) // buffer is sized above; cannot happen
-	}
-	if f.Payload != nil {
-		copy(buf[EthernetHeaderLen+HeaderLen:], f.Payload)
-	}
-	return buf
-}
-
-// DecodeFrame parses bytes produced by EncodeFrame. The returned frame's
-// payload is an independent copy of buf, so the caller may reuse buf freely;
-// receive paths that control the buffer lifetime should prefer
-// DecodeFrameNoCopy.
-func DecodeFrame(buf []byte) (*Frame, error) {
-	f, err := DecodeFrameNoCopy(buf)
-	if err != nil {
-		return nil, err
-	}
-	if f.PayloadLen > 0 {
-		f.Payload = append([]byte(nil), f.Payload...)
-	}
-	return f, nil
-}
-
-// DecodeFrameNoCopy parses bytes produced by EncodeFrame without copying the
-// payload: the returned frame's Payload aliases buf. The frame is only valid
-// while buf is neither reused nor mutated — the zero-copy contract of a real
-// driver processing a DMA ring slot in place. Callers that hand the frame
-// beyond the buffer's lifetime must copy first (or use DecodeFrame).
-func DecodeFrameNoCopy(buf []byte) (*Frame, error) {
-	if len(buf) < EthernetHeaderLen+HeaderLen {
-		return nil, ErrShortBuffer
-	}
-	if binary.BigEndian.Uint16(buf[12:14]) != EtherTypeOMX {
-		return nil, fmt.Errorf("wire: not an Open-MX frame")
-	}
-	f := &Frame{}
-	copy(f.Dst[:], buf[0:6])
-	copy(f.Src[:], buf[6:12])
-	if err := f.Header.Decode(buf[EthernetHeaderLen:]); err != nil {
-		return nil, err
-	}
-	f.PayloadLen = int(f.Header.Length)
-	rest := buf[EthernetHeaderLen+HeaderLen:]
-	if len(rest) < f.PayloadLen {
-		return nil, fmt.Errorf("wire: truncated payload: have %d want %d", len(rest), f.PayloadLen)
-	}
-	if f.PayloadLen > 0 {
-		f.Payload = rest[:f.PayloadLen:f.PayloadLen]
-	}
-	return f, nil
-}

@@ -1,10 +1,6 @@
 package wire
 
-import (
-	"bytes"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func sampleHeader() Header {
 	return Header{
@@ -20,57 +16,6 @@ func sampleHeader() Header {
 		Aux:       32768,
 		FragIndex: 22,
 		FragCount: 23,
-	}
-}
-
-func TestHeaderRoundTrip(t *testing.T) {
-	h := sampleHeader()
-	buf := make([]byte, HeaderLen)
-	if err := h.Encode(buf); err != nil {
-		t.Fatal(err)
-	}
-	var got Header
-	if err := got.Decode(buf); err != nil {
-		t.Fatal(err)
-	}
-	if got != h {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, h)
-	}
-}
-
-// Property: every header round-trips through its wire encoding.
-func TestHeaderRoundTripProperty(t *testing.T) {
-	f := func(typ, flags, src, dst uint8, length uint16, seq, msgID uint32,
-		match uint64, aux uint32, fi, fc uint16) bool {
-		h := Header{
-			Version: Version, Type: PacketType(typ % uint8(typeCount)),
-			Flags: flags, SrcEP: src, DstEP: dst, Length: length,
-			Seq: seq, MsgID: msgID, Match: match, Aux: aux,
-			FragIndex: fi, FragCount: fc,
-		}
-		buf := make([]byte, HeaderLen)
-		if err := h.Encode(buf); err != nil {
-			return false
-		}
-		var got Header
-		if err := got.Decode(buf); err != nil {
-			return false
-		}
-		return got == h
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestEncodeShortBuffer(t *testing.T) {
-	h := sampleHeader()
-	if err := h.Encode(make([]byte, HeaderLen-1)); err != ErrShortBuffer {
-		t.Fatalf("err = %v, want ErrShortBuffer", err)
-	}
-	var g Header
-	if err := g.Decode(make([]byte, 3)); err != ErrShortBuffer {
-		t.Fatalf("decode err = %v, want ErrShortBuffer", err)
 	}
 }
 
@@ -157,70 +102,6 @@ func TestNewFrameConsistency(t *testing.T) {
 	}
 	if f.Header.Version != Version {
 		t.Errorf("Version not stamped")
-	}
-}
-
-func TestFrameEncodeDecodeRoundTrip(t *testing.T) {
-	h := sampleHeader()
-	payload := bytes.Repeat([]byte{0xA5}, int(h.Length))
-	f := NewFrame(NodeMAC(1), NodeMAC(2), h, payload, 0)
-	buf := EncodeFrame(f)
-	got, err := DecodeFrame(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Src != f.Src || got.Dst != f.Dst {
-		t.Errorf("MAC mismatch: %v->%v", got.Src, got.Dst)
-	}
-	if got.Header != f.Header {
-		t.Errorf("header mismatch: %+v vs %+v", got.Header, f.Header)
-	}
-	if !bytes.Equal(got.Payload, payload) {
-		t.Error("payload mismatch")
-	}
-}
-
-func TestDecodeFrameErrors(t *testing.T) {
-	if _, err := DecodeFrame(make([]byte, 10)); err == nil {
-		t.Error("short frame accepted")
-	}
-	f := NewFrame(NodeMAC(0), NodeMAC(1), Header{Type: TypeSmall}, []byte("abc"), 0)
-	buf := EncodeFrame(f)
-	buf[12], buf[13] = 0x08, 0x00 // IPv4 ethertype
-	if _, err := DecodeFrame(buf); err == nil {
-		t.Error("non-OMX ethertype accepted")
-	}
-	buf = EncodeFrame(f)
-	if _, err := DecodeFrame(buf[:len(buf)-1]); err == nil {
-		t.Error("truncated payload accepted")
-	}
-}
-
-func TestDecodeFrameNoCopyAliases(t *testing.T) {
-	h := Header{Type: TypeSmall, SrcEP: 1, DstEP: 2, Match: 42}
-	payload := []byte("hello wire")
-	buf := EncodeFrame(NewFrame(NodeMAC(0), NodeMAC(1), h, payload, 0))
-
-	zc, err := DecodeFrameNoCopy(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(zc.Payload) != "hello wire" {
-		t.Fatalf("zero-copy payload = %q", zc.Payload)
-	}
-	// The zero-copy payload must alias the input buffer...
-	buf[EthernetHeaderLen+HeaderLen] = 'H'
-	if string(zc.Payload) != "Hello wire" {
-		t.Fatal("DecodeFrameNoCopy copied the payload")
-	}
-	// ...while the copying variant must stay independent.
-	cp, err := DecodeFrame(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf[EthernetHeaderLen+HeaderLen] = 'J'
-	if string(cp.Payload) != "Hello wire" {
-		t.Fatal("DecodeFrame aliased the input buffer")
 	}
 }
 

@@ -97,14 +97,12 @@ type Topology = fabric.Topology
 // PortStats are the switch's per-egress-port counters (see Cluster.PortStats).
 type PortStats = fabric.PortStats
 
-// Fabric topology kinds and queue disciplines.
+// Fabric topology kinds.
 const (
 	// TopologyDirect is the legacy ideal model (unbounded egress).
 	TopologyDirect = fabric.TopologyDirect
 	// TopologyOutputQueued bounds each egress port with a FIFO queue.
 	TopologyOutputQueued = fabric.TopologyOutputQueued
-	// DropTail rejects arrivals at a full egress queue.
-	DropTail = fabric.DropTail
 )
 
 // NewWorld opens ranksPerNode endpoints per node on a fresh cluster and
@@ -140,9 +138,16 @@ func PingPong(cfg Config, sizes []int, iters int) (map[int]Time, error) {
 }
 
 // MessageRate measures the sustained receiver-side message rate (msg/s)
-// for a unidirectional stream of size-byte messages.
+// for a unidirectional stream of size-byte messages; warmup <= 0 means
+// 10 ms and measure <= 0 means 50 ms.
 func MessageRate(cfg Config, size int, warmup, measure Time) float64 {
-	return exp.MessageRate(cfg, size, warmup, measure)
+	if warmup <= 0 {
+		warmup = 10 * Millisecond
+	}
+	if measure <= 0 {
+		measure = 50 * Millisecond
+	}
+	return sweep.RunStream(sweep.StreamSpec{Cluster: cfg, Size: size, Warmup: warmup, Measure: measure}).Rate
 }
 
 // Background describes bulk streams congesting the ping-pong receiver's
