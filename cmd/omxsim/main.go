@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"openmxsim/internal/chaos"
@@ -60,6 +61,9 @@ func main() {
 	}
 	if *qframes < 0 {
 		fail("bad -qframes %d: want >= 0 (0 = ideal unbounded port)", *qframes)
+	}
+	if !(*burst >= 0) || math.IsInf(*burst, 1) {
+		fail("bad -burst %g: want a finite length >= 0", *burst)
 	}
 	if *workload != "nas" && *nodes < 2 {
 		fail("-workload %s needs -nodes >= 2", *workload)

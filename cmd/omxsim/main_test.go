@@ -44,6 +44,13 @@ func TestBadFlagsExitOne(t *testing.T) {
 		{"nas-size-negative", []string{"-workload", "nas", "-size", "-1"}, "bad -size"},
 		{"qframes-negative", []string{"-qframes", "-5"}, "bad -qframes"},
 		{"bg-negative", []string{"-bg", "-1"}, "invalid background stream count"},
+		{"drop-nan", []string{"-drop", "NaN"}, "-drop NaN outside [0,1)"},
+		{"dup-nan", []string{"-dup", "NaN"}, "-dup NaN outside [0,1)"},
+		{"delayp-nan", []string{"-delayp", "NaN"}, "-delayp NaN outside [0,1)"},
+		{"drop-nan-bursty", []string{"-drop", "NaN", "-burst", "8"}, "-drop NaN outside [0,1)"},
+		{"burst-inf", []string{"-drop", "0.02", "-burst", "Inf"}, "bad -burst"},
+		{"burst-nan", []string{"-drop", "0.02", "-burst", "NaN"}, "bad -burst"},
+		{"burst-negative", []string{"-burst", "-1"}, "bad -burst"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cmd := exec.Command(os.Args[0], tc.args...)

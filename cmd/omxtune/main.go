@@ -50,7 +50,6 @@ func run() int {
 	budget := flag.Int("budget", 0, "max evaluations (0 = 30% of the exhaustive grid, min 8)")
 	weight := flag.Float64("weight", 0.5, "latency weight in [0,1]: 1 chases latency, 0 interrupt load")
 	workers := flag.Int("workers", 0, "worker goroutines per search round (0 = GOMAXPROCS)")
-	par := cliflag.Par()
 	drop := flag.Float64("drop", 0, "tune under bursty loss of this stationary rate in [0,1) (0 = clean fabric)")
 	burst := flag.Float64("burst", 1, "mean loss-episode length for -drop (1 = uniform loss)")
 	seed := flag.Uint64("seed", 1, "simulation seed")
@@ -90,7 +89,11 @@ func run() int {
 		MaxEvals:      *budget,
 		LatencyWeight: w,
 		Workers:       *workers,
-		Par:           *par,
+	}
+	// Range errors first: the cache key below encodes the spec as JSON,
+	// which cannot carry a NaN.
+	if err := spec.Validate(); err != nil {
+		return fail(err)
 	}
 	// The same cache omxserve and omxsweep share: a tuned workload is
 	// answered from disk the next time, by this CLI or by the server.
@@ -157,7 +160,6 @@ func run() int {
 				Burst:      []float64{spec.Burst},
 				Iters:      spec.Iters,
 				Rate:       spec.Rate,
-				Par:        *par,
 				Sample:     rec.SampleEvery(),
 				Trace:      rec,
 			}

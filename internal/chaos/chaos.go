@@ -1,11 +1,11 @@
 // Package chaos is the time-varying fault scenario engine: it composes
-// link flaps, Gilbert–Elliott bursty loss, and transient bandwidth
-// degradation into a single fabric.Hook. Every random decision comes from
-// a per-source-node stream derived from the scenario seed, and all
-// mutable state (the Gilbert–Elliott chain, the RNG cursor) is keyed by
-// source node — the fabric consults the hook on the source port's shard,
-// so under -par N each node's state is touched by exactly one goroutine
-// per barrier window and results are bit-identical at any shard count.
+// link flaps and Gilbert–Elliott bursty loss into a single fabric.Hook
+// that drops frames. Every random decision comes from a per-source-node
+// stream derived from the scenario seed, and all mutable state (the
+// Gilbert–Elliott chain, the RNG cursor) is keyed by source node — the
+// fabric consults the hook on the source port's shard, so under -par N
+// each node's state is touched by exactly one goroutine per barrier
+// window and results are bit-identical at any shard count.
 //
 // Link up/down is a pure function of virtual time (no per-frame state at
 // all), which is what allows the destination side of a flap to be
@@ -16,29 +16,22 @@ import (
 	"fmt"
 	"slices"
 
-	"openmxsim/internal/fabric"
 	"openmxsim/internal/sim"
-	"openmxsim/internal/wire"
 )
 
 // LinkFlap takes one node's link down for a window of virtual time.
 // While down, every frame to or from the node is dropped before it
-// occupies the wire. With Period > 0 the window repeats: down during
-// [DownAt+k·Period, UpAt+k·Period) for every k >= 0.
+// occupies the wire.
 type LinkFlap struct {
 	Node   int      // node index (wire.MAC.NodeIndex)
 	DownAt sim.Time // window start (inclusive)
 	UpAt   sim.Time // window end (exclusive); <= DownAt means down forever
-	Period sim.Time // repeat interval; 0 = one-shot
 }
 
 // down reports whether the flap holds the link down at time t.
 func (lf *LinkFlap) down(t sim.Time) bool {
 	if lf.UpAt <= lf.DownAt { // permanent outage from DownAt on
 		return t >= lf.DownAt
-	}
-	if lf.Period > 0 && t >= lf.DownAt {
-		t = lf.DownAt + (t-lf.DownAt)%lf.Period
 	}
 	return t >= lf.DownAt && t < lf.UpAt
 }
@@ -91,23 +84,6 @@ func Bursty(p, burst float64) *GilbertElliott {
 	return &GilbertElliott{BadLoss: badLoss, PGoodBad: pgb, PBadGood: pbg}
 }
 
-// Degrade scales one node's frame serialization time by Factor during
-// [From, Until) — transient bandwidth degradation (a flaky autoneg, a
-// shared uplink saturating). Factor <= 1 is a no-op.
-type Degrade struct {
-	Node   int
-	From   sim.Time
-	Until  sim.Time // <= From means degraded forever
-	Factor float64
-}
-
-func (dg *Degrade) active(t sim.Time) bool {
-	if dg.Until <= dg.From {
-		return t >= dg.From
-	}
-	return t >= dg.From && t < dg.Until
-}
-
 // Scenario is a declarative time-varying fault plan. Compose it onto a
 // cluster via cluster.Config.Scenario; the zero value injects nothing.
 type Scenario struct {
@@ -115,8 +91,6 @@ type Scenario struct {
 	Flaps []LinkFlap
 	// Loss, when non-nil, runs a Gilbert–Elliott chain per source node.
 	Loss *GilbertElliott
-	// Degrade lists bandwidth-degradation windows.
-	Degrade []Degrade
 	// Seed derives every per-node RNG stream; two runs of the same
 	// scenario with the same seed make identical decisions.
 	Seed uint64
@@ -131,12 +105,6 @@ func (sc *Scenario) Validate() error {
 		if lf.DownAt < 0 {
 			return fmt.Errorf("chaos: flap %d: negative DownAt %v", i, lf.DownAt)
 		}
-		if lf.Period < 0 {
-			return fmt.Errorf("chaos: flap %d: negative Period %v", i, lf.Period)
-		}
-		if lf.Period > 0 && lf.UpAt > lf.DownAt+lf.Period {
-			return fmt.Errorf("chaos: flap %d: down window %v longer than period %v", i, lf.UpAt-lf.DownAt, lf.Period)
-		}
 	}
 	if ge := sc.Loss; ge != nil {
 		for _, v := range []struct {
@@ -146,25 +114,12 @@ func (sc *Scenario) Validate() error {
 			{"GoodLoss", ge.GoodLoss}, {"BadLoss", ge.BadLoss},
 			{"PGoodBad", ge.PGoodBad}, {"PBadGood", ge.PBadGood},
 		} {
-			if v.p < 0 || v.p > 1 {
+			if !(v.p >= 0 && v.p <= 1) { // NaN fails too
 				return fmt.Errorf("chaos: loss %s=%v outside [0,1]", v.name, v.p)
 			}
 		}
 	}
-	for i, dg := range sc.Degrade {
-		if dg.Node < 0 {
-			return fmt.Errorf("chaos: degrade %d: negative node %d", i, dg.Node)
-		}
-		if dg.Factor < 0 {
-			return fmt.Errorf("chaos: degrade %d: negative factor %v", i, dg.Factor)
-		}
-	}
 	return nil
-}
-
-// empty reports whether the scenario injects nothing.
-func (sc *Scenario) empty() bool {
-	return len(sc.Flaps) == 0 && sc.Loss == nil && len(sc.Degrade) == 0
 }
 
 // geGood / geBad are the chain states.
@@ -189,7 +144,6 @@ type NodeStats struct {
 	FlapDrops   uint64 // frames dropped because either endpoint was down
 	GEDrops     uint64 // frames lost to the Gilbert–Elliott chain
 	Transitions uint64 // Good<->Bad state changes
-	Degraded    uint64 // frames with stretched serialization
 }
 
 // Engine evaluates a Scenario as a fabric.Hook. Construct with New and
@@ -198,34 +152,29 @@ type Engine struct {
 	sc    Scenario
 	base  *sim.RNG
 	nodes map[int]*nodeState
-	// flapsBy and degradeBy index the windows by node so Decide is O(own
-	// windows), not O(all windows).
-	flapsBy   map[int][]LinkFlap
-	degradeBy map[int][]Degrade
+	// flapsBy indexes the flap windows by node so Drop is O(own windows),
+	// not O(all windows).
+	flapsBy map[int][]LinkFlap
 }
 
 // New builds the evaluation engine for sc. nodes is the cluster size;
-// every per-node stream is derived up front so Decide never mutates the
+// every per-node stream is derived up front so Drop never mutates the
 // map.
 func New(sc Scenario, nodes int) (*Engine, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
 	e := &Engine{
-		sc:        sc,
-		base:      sim.NewRNG(sc.Seed ^ 0xC4A05),
-		nodes:     make(map[int]*nodeState, nodes),
-		flapsBy:   make(map[int][]LinkFlap),
-		degradeBy: make(map[int][]Degrade),
+		sc:      sc,
+		base:    sim.NewRNG(sc.Seed ^ 0xC4A05),
+		nodes:   make(map[int]*nodeState, nodes),
+		flapsBy: make(map[int][]LinkFlap),
 	}
 	for i := 0; i < nodes; i++ {
 		e.nodes[i] = &nodeState{rng: e.base.Derive(0xCA<<56 | uint64(i))}
 	}
 	for _, lf := range sc.Flaps {
 		e.flapsBy[lf.Node] = append(e.flapsBy[lf.Node], lf)
-	}
-	for _, dg := range sc.Degrade {
-		e.degradeBy[dg.Node] = append(e.degradeBy[dg.Node], dg)
 	}
 	return e, nil
 }
@@ -241,55 +190,37 @@ func (e *Engine) LinkDown(node int, t sim.Time) bool {
 	return false
 }
 
-// serScale returns the serialization stretch for node at time t (1 if
-// none).
-func (e *Engine) serScale(node int, t sim.Time) float64 {
-	scale := 1.0
-	for i := range e.degradeBy[node] {
-		dg := &e.degradeBy[node][i]
-		if dg.Factor > scale && dg.active(t) {
-			scale = dg.Factor
-		}
-	}
-	return scale
-}
-
-// Decide implements fabric.Hook. It runs on the source port's shard and
+// Drop implements fabric.Hook. It runs on the source port's shard and
 // touches only src's nodeState.
-func (e *Engine) Decide(src, dst int, now sim.Time, f *wire.Frame) fabric.Decision {
+func (e *Engine) Drop(src, dst int, now sim.Time) bool {
+	down := e.LinkDown(src, now) || e.LinkDown(dst, now)
 	ns := e.nodes[src]
 	if ns == nil {
-		// A node outside the cluster size New was given: static windows
-		// still apply, the loss chain does not.
-		if e.LinkDown(src, now) || e.LinkDown(dst, now) {
-			return fabric.Decision{Drop: true}
-		}
-		return fabric.Decision{SerScale: e.serScale(src, now)}
+		// A node outside the cluster size New was given: the flap
+		// windows still apply, the loss chain does not.
+		return down
 	}
-	if e.LinkDown(src, now) || e.LinkDown(dst, now) {
+	if down {
 		ns.stats.FlapDrops++
-		return fabric.Decision{Drop: true}
+		return true
 	}
-	if ge := e.sc.Loss; ge != nil {
-		loss, flip := ge.GoodLoss, ge.PGoodBad
-		if ns.ge == geBad {
-			loss, flip = ge.BadLoss, ge.PBadGood
-		}
-		drop := loss > 0 && ns.rng.Bool(loss)
-		if flip > 0 && ns.rng.Bool(flip) {
-			ns.ge ^= geGood ^ geBad
-			ns.stats.Transitions++
-		}
-		if drop {
-			ns.stats.GEDrops++
-			return fabric.Decision{Drop: true}
-		}
+	ge := e.sc.Loss
+	if ge == nil {
+		return false
 	}
-	d := fabric.Decision{SerScale: e.serScale(src, now)}
-	if d.SerScale > 1 {
-		ns.stats.Degraded++
+	loss, flip := ge.GoodLoss, ge.PGoodBad
+	if ns.ge == geBad {
+		loss, flip = ge.BadLoss, ge.PBadGood
 	}
-	return d
+	drop := loss > 0 && ns.rng.Bool(loss)
+	if flip > 0 && ns.rng.Bool(flip) {
+		ns.ge ^= geGood ^ geBad
+		ns.stats.Transitions++
+	}
+	if drop {
+		ns.stats.GEDrops++
+	}
+	return drop
 }
 
 // Stats returns the summed per-node counters.
@@ -300,7 +231,6 @@ func (e *Engine) Stats() NodeStats {
 		t.FlapDrops += ns.stats.FlapDrops
 		t.GEDrops += ns.stats.GEDrops
 		t.Transitions += ns.stats.Transitions
-		t.Degraded += ns.stats.Degraded
 	}
 	return t
 }
@@ -313,12 +243,9 @@ func (e *Engine) NodeStats(node int) NodeStats {
 	return NodeStats{}
 }
 
-// Edges lists the one-shot flap transition times (down and up edges) in
+// Edges lists node's flap transition times (down and up edges) in
 // ascending order — the marker events cluster wiring schedules on each
 // owning shard so a trace of the run shows when the scenario acted.
-// Periodic flaps contribute only their first window (their later edges
-// are evaluated arithmetically by down(); scheduling an unbounded edge
-// train would keep the engines from ever draining).
 func (sc *Scenario) Edges(node int) []sim.Time {
 	var ts []sim.Time
 	for _, lf := range sc.Flaps {

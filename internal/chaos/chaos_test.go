@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"openmxsim/internal/sim"
@@ -22,12 +23,6 @@ func TestLinkFlapWindows(t *testing.T) {
 		{"permanent equal bounds", LinkFlap{DownAt: 10 * ms, UpAt: 10 * ms}, 1000 * ms, true},
 		{"permanent zero UpAt", LinkFlap{DownAt: 10 * ms}, 10 * ms, true},
 		{"permanent before start", LinkFlap{DownAt: 10 * ms}, 9 * ms, false},
-		{"periodic first window", LinkFlap{DownAt: 10 * ms, UpAt: 12 * ms, Period: 100 * ms}, 11 * ms, true},
-		{"periodic gap", LinkFlap{DownAt: 10 * ms, UpAt: 12 * ms, Period: 100 * ms}, 50 * ms, false},
-		{"periodic second window", LinkFlap{DownAt: 10 * ms, UpAt: 12 * ms, Period: 100 * ms}, 111 * ms, true},
-		{"periodic second gap", LinkFlap{DownAt: 10 * ms, UpAt: 12 * ms, Period: 100 * ms}, 112 * ms, false},
-		{"periodic distant window", LinkFlap{DownAt: 10 * ms, UpAt: 12 * ms, Period: 100 * ms}, 910*ms + 500, true},
-		{"periodic before first", LinkFlap{DownAt: 10 * ms, UpAt: 12 * ms, Period: 100 * ms}, 5 * ms, false},
 	}
 	for _, tc := range cases {
 		if got := tc.lf.down(tc.t); got != tc.want {
@@ -72,7 +67,7 @@ func TestEngineEmpiricalLoss(t *testing.T) {
 		}
 		drops := 0
 		for i := 0; i < frames; i++ {
-			if e.Decide(0, 1, sim.Time(i), nil).Drop {
+			if e.Drop(0, 1, sim.Time(i)) {
 				drops++
 			}
 		}
@@ -96,10 +91,9 @@ func TestEngineEmpiricalLoss(t *testing.T) {
 // par-N equivalence of every resilience experiment rests on.
 func TestDecideDeterministic(t *testing.T) {
 	sc := Scenario{
-		Flaps:   []LinkFlap{{Node: 1, DownAt: 5 * sim.Millisecond, UpAt: 6 * sim.Millisecond}},
-		Loss:    Bursty(0.05, 4),
-		Degrade: []Degrade{{Node: 0, From: 2 * sim.Millisecond, Until: 3 * sim.Millisecond, Factor: 4}},
-		Seed:    1234,
+		Flaps: []LinkFlap{{Node: 1, DownAt: 5 * sim.Millisecond, UpAt: 6 * sim.Millisecond}},
+		Loss:  Bursty(0.05, 4),
+		Seed:  1234,
 	}
 	build := func() *Engine {
 		e, err := New(sc, 3)
@@ -112,10 +106,10 @@ func TestDecideDeterministic(t *testing.T) {
 	for i := 0; i < 50_000; i++ {
 		now := sim.Time(i) * 200
 		src, dst := i%3, (i+1)%3
-		d1 := e1.Decide(src, dst, now, nil)
-		d2 := e2.Decide(src, dst, now, nil)
+		d1 := e1.Drop(src, dst, now)
+		d2 := e2.Drop(src, dst, now)
 		if d1 != d2 {
-			t.Fatalf("frame %d: decisions diverge: %+v vs %+v", i, d1, d2)
+			t.Fatalf("frame %d: decisions diverge: %v vs %v", i, d1, d2)
 		}
 	}
 	if e1.Stats() != e2.Stats() {
@@ -134,7 +128,7 @@ func TestDecidePerNodeStreams(t *testing.T) {
 	}
 	var want []bool
 	for i := 0; i < 10_000; i++ {
-		want = append(want, solo.Decide(0, 1, sim.Time(i), nil).Drop)
+		want = append(want, solo.Drop(0, 1, sim.Time(i)))
 	}
 	mixed, err := New(sc, 2)
 	if err != nil {
@@ -142,50 +136,42 @@ func TestDecidePerNodeStreams(t *testing.T) {
 	}
 	for i := 0; i < 10_000; i++ {
 		// Node 1's draws are interleaved; node 0's sequence must not move.
-		mixed.Decide(1, 0, sim.Time(i), nil)
-		if got := mixed.Decide(0, 1, sim.Time(i), nil).Drop; got != want[i] {
+		mixed.Drop(1, 0, sim.Time(i))
+		if got := mixed.Drop(0, 1, sim.Time(i)); got != want[i] {
 			t.Fatalf("frame %d: node 0 decision changed when node 1 traffic interleaved", i)
 		}
 	}
 }
 
-func TestDecideFlapAndDegrade(t *testing.T) {
+func TestDecideFlaps(t *testing.T) {
 	ms := sim.Millisecond
 	sc := Scenario{
-		Flaps:   []LinkFlap{{Node: 1, DownAt: 10 * ms, UpAt: 20 * ms}},
-		Degrade: []Degrade{{Node: 0, From: 30 * ms, Until: 40 * ms, Factor: 5}},
-		Seed:    1,
+		Flaps: []LinkFlap{{Node: 1, DownAt: 10 * ms, UpAt: 20 * ms}},
+		Seed:  1,
 	}
 	e, err := New(sc, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Down destination drops frames from either side; charged to source.
-	if !e.Decide(0, 1, 15*ms, nil).Drop {
+	if !e.Drop(0, 1, 15*ms) {
 		t.Error("frame toward down node not dropped")
 	}
-	if !e.Decide(1, 0, 15*ms, nil).Drop {
+	if !e.Drop(1, 0, 15*ms) {
 		t.Error("frame from down node not dropped")
 	}
-	if e.Decide(0, 1, 25*ms, nil).Drop {
+	if e.Drop(0, 1, 25*ms) {
 		t.Error("frame dropped after link came back")
 	}
-	if d := e.Decide(0, 1, 35*ms, nil); d.SerScale != 5 {
-		t.Errorf("degraded SerScale = %g, want 5", d.SerScale)
-	}
-	if d := e.Decide(0, 1, 45*ms, nil); d.SerScale > 1 {
-		t.Errorf("SerScale = %g after degradation window", d.SerScale)
-	}
-	st := e.Stats()
-	if st.FlapDrops != 2 || st.Degraded != 1 {
-		t.Errorf("stats = %+v, want 2 flap drops and 1 degraded", st)
+	if st := e.Stats(); st.FlapDrops != 2 {
+		t.Errorf("stats = %+v, want 2 flap drops", st)
 	}
 	if e.NodeStats(0).FlapDrops != 1 || e.NodeStats(1).FlapDrops != 1 {
 		t.Errorf("per-node flap drops = %+v / %+v, want 1 each",
 			e.NodeStats(0), e.NodeStats(1))
 	}
 	// Unknown source node: windows still apply, no chain state mutates.
-	if !e.Decide(9, 1, 15*ms, nil).Drop {
+	if !e.Drop(9, 1, 15*ms) {
 		t.Error("unknown-node frame toward down node not dropped")
 	}
 	if e.NodeStats(9) != (NodeStats{}) {
@@ -195,15 +181,16 @@ func TestDecideFlapAndDegrade(t *testing.T) {
 
 func TestScenarioValidate(t *testing.T) {
 	ms := sim.Millisecond
+	nan := math.NaN()
 	bad := []Scenario{
 		{Flaps: []LinkFlap{{Node: -1}}},
 		{Flaps: []LinkFlap{{DownAt: -ms}}},
-		{Flaps: []LinkFlap{{Period: -ms}}},
-		{Flaps: []LinkFlap{{DownAt: 0, UpAt: 5 * ms, Period: 2 * ms}}},
 		{Loss: &GilbertElliott{GoodLoss: 1.5}},
 		{Loss: &GilbertElliott{PBadGood: -0.1}},
-		{Degrade: []Degrade{{Node: -2}}},
-		{Degrade: []Degrade{{Factor: -1}}},
+		{Loss: &GilbertElliott{GoodLoss: nan}},
+		{Loss: &GilbertElliott{BadLoss: nan}},
+		{Loss: &GilbertElliott{PGoodBad: nan}},
+		{Loss: &GilbertElliott{PBadGood: nan}},
 	}
 	for i, sc := range bad {
 		if err := sc.Validate(); err == nil {
@@ -211,9 +198,8 @@ func TestScenarioValidate(t *testing.T) {
 		}
 	}
 	good := Scenario{
-		Flaps:   []LinkFlap{{Node: 0, DownAt: ms, UpAt: 2 * ms, Period: 10 * ms}},
-		Loss:    Bursty(0.01, 8),
-		Degrade: []Degrade{{Node: 1, From: ms, Factor: 2}},
+		Flaps: []LinkFlap{{Node: 0, DownAt: ms, UpAt: 2 * ms}},
+		Loss:  Bursty(0.01, 8),
 	}
 	if err := good.Validate(); err != nil {
 		t.Errorf("good scenario rejected: %v", err)
@@ -226,7 +212,7 @@ func TestScenarioEdges(t *testing.T) {
 		{Node: 0, DownAt: 30 * ms, UpAt: 40 * ms},
 		{Node: 0, DownAt: 10 * ms}, // permanent: down edge only
 		{Node: 1, DownAt: 5 * ms, UpAt: 6 * ms},
-		{Node: 0, DownAt: 50 * ms, UpAt: 51 * ms, Period: 100 * ms}, // first window only
+		{Node: 0, DownAt: 50 * ms, UpAt: 51 * ms},
 	}}
 	got := sc.Edges(0)
 	want := []sim.Time{10 * ms, 30 * ms, 40 * ms, 50 * ms, 51 * ms}
@@ -241,4 +227,93 @@ func TestScenarioEdges(t *testing.T) {
 	if n := len(sc.Edges(2)); n != 0 {
 		t.Errorf("Edges(2) returned %d edges for a node with no flaps", n)
 	}
+}
+
+// FuzzScenario builds a Scenario from fuzzed flap windows, loss-chain
+// probabilities and a seed, and checks the engine's contract: New fails
+// exactly when Validate does; an accepted scenario's probabilities lie in
+// [0,1]; Drop never panics and two engines built from the same scenario
+// agree draw for draw; Edges is ascending; and a flapped link is down
+// throughout its window.
+func FuzzScenario(f *testing.F) {
+	ms := int64(sim.Millisecond)
+	// resilience-flap: a 40 ms outage and a permanent one on node 1.
+	f.Add(uint8(2), 1, ms, 41*ms, 1, ms, int64(0), false, 0.0, 0.0, 0.0, 0.0, uint64(1))
+	// The bursty chain of the resilience sweeps, without flaps.
+	ge := Bursty(0.02, 8)
+	f.Add(uint8(0), 0, int64(0), int64(0), 0, int64(0), int64(0), true, ge.GoodLoss, ge.BadLoss, ge.PGoodBad, ge.PBadGood, uint64(7))
+	// A chain whose Good-state loss is NaN: Validate must refuse it.
+	f.Add(uint8(1), 0, 2*ms, 3*ms, 0, int64(0), int64(0), true, math.NaN(), 0.5, 0.1, 0.1, uint64(3))
+
+	f.Fuzz(func(t *testing.T, nflaps uint8, node0 int, down0, up0 int64, node1 int, down1, up1 int64,
+		loss bool, goodLoss, badLoss, pGoodBad, pBadGood float64, seed uint64) {
+		flaps := []LinkFlap{
+			{Node: node0, DownAt: sim.Time(down0), UpAt: sim.Time(up0)},
+			{Node: node1, DownAt: sim.Time(down1), UpAt: sim.Time(up1)},
+		}
+		sc := Scenario{Flaps: flaps[:int(nflaps)%3], Seed: seed}
+		if loss {
+			sc.Loss = &GilbertElliott{GoodLoss: goodLoss, BadLoss: badLoss, PGoodBad: pGoodBad, PBadGood: pBadGood}
+		}
+		const nodes = 3
+		verr := sc.Validate()
+		e1, err := New(sc, nodes)
+		if (err == nil) != (verr == nil) {
+			t.Fatalf("New error %v, Validate error %v", err, verr)
+		}
+		if err != nil {
+			return
+		}
+		if ge := sc.Loss; ge != nil {
+			for _, p := range []float64{ge.GoodLoss, ge.BadLoss, ge.PGoodBad, ge.PBadGood} {
+				if !(p >= 0 && p <= 1) {
+					t.Fatalf("accepted probability %v outside [0,1]: %+v", p, *ge)
+				}
+			}
+		}
+		e2, err := New(sc, nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// Draw times near every flap edge and across the first 100 ms;
+		// sources and destinations include a node outside the cluster.
+		var edges []sim.Time
+		for _, lf := range sc.Flaps {
+			edges = append(edges, lf.DownAt, lf.DownAt+1, lf.UpAt-1, lf.UpAt)
+		}
+		r := sim.NewRNG(seed)
+		for i := 0; i < 400; i++ {
+			now := sim.Time(r.Intn(int(100 * sim.Millisecond)))
+			if len(edges) > 0 && r.Intn(2) == 0 {
+				now = max(edges[r.Intn(len(edges))], 0)
+			}
+			src, dst := r.Intn(nodes+1), r.Intn(nodes+1)
+			d1, d2 := e1.Drop(src, dst, now), e2.Drop(src, dst, now)
+			if d1 != d2 {
+				t.Fatalf("draw %d: Drop(%d, %d, %v) = %v and %v from one scenario", i, src, dst, now, d1, d2)
+			}
+			if (e1.LinkDown(src, now) || e1.LinkDown(dst, now)) && !d1 {
+				t.Fatalf("draw %d: Drop(%d, %d, %v) passed a frame over a down link", i, src, dst, now)
+			}
+		}
+		if e1.Stats() != e2.Stats() {
+			t.Fatalf("stats diverge: %+v vs %+v", e1.Stats(), e2.Stats())
+		}
+
+		for _, lf := range sc.Flaps {
+			if ts := sc.Edges(lf.Node); !slices.IsSorted(ts) {
+				t.Fatalf("Edges(%d) = %v, not ascending", lf.Node, ts)
+			}
+			inside := []sim.Time{lf.DownAt, sim.Time(math.MaxInt64)}
+			if lf.UpAt > lf.DownAt {
+				inside = []sim.Time{lf.DownAt, lf.DownAt + (lf.UpAt-lf.DownAt)/2, lf.UpAt - 1}
+			}
+			for _, at := range inside {
+				if !e1.LinkDown(lf.Node, at) {
+					t.Fatalf("flap %+v: LinkDown(%d, %v) = false inside the window", lf, lf.Node, at)
+				}
+			}
+		}
+	})
 }

@@ -225,7 +225,7 @@ func (ff *FaultFlags) Build() (*fabric.Fault, error) {
 	}{
 		{"-drop", *ff.Drop}, {"-dup", *ff.Dup}, {"-delayp", *ff.DelayProb},
 	} {
-		if v.p < 0 || v.p >= 1 {
+		if !(v.p >= 0 && v.p < 1) { // NaN fails too
 			return nil, fmt.Errorf("%s %g outside [0,1)", v.name, v.p)
 		}
 	}

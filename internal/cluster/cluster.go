@@ -62,11 +62,11 @@ type Config struct {
 	// Fault installs static network fault injection (uniform per-frame
 	// drop/duplicate/delay probabilities).
 	Fault *fabric.Fault
-	// Scenario installs a time-varying fault plan — link flaps,
-	// Gilbert–Elliott bursty loss, bandwidth degradation — evaluated by a
-	// chaos.Engine composed onto the fabric's fault hook. Scenario and
-	// Fault compose: the scenario decides first, the static probabilities
-	// still apply to frames it lets through.
+	// Scenario installs a time-varying fault plan — link flaps and
+	// Gilbert–Elliott bursty loss — evaluated by a chaos.Engine composed
+	// onto the fabric's fault hook. Scenario and Fault compose: the
+	// scenario decides first, the static probabilities still apply to
+	// frames it lets through.
 	Scenario *chaos.Scenario
 	// Trace installs deterministic telemetry: per-node event timelines
 	// and virtual-time-sampled metric series recorded into the given
@@ -301,12 +301,10 @@ func New(cfg Config) *Cluster {
 	}
 	if chaosEng != nil {
 		c.Chaos = chaosEng
-		// Mark each one-shot flap edge with an event on the owning
-		// node's shard engine: a trace of the run shows when the
-		// scenario acted, and an otherwise idle shard still advances its
-		// clock across the edge. Periodic flaps beyond the first window
-		// are evaluated arithmetically (an unbounded edge train would
-		// keep the engines from draining), so the marker set is finite.
+		// Mark each flap edge with an event on the owning node's shard
+		// engine: a trace of the run shows when the scenario acted, and
+		// an otherwise idle shard still advances its clock across the
+		// edge.
 		c.flapEdges = make([]uint64, cfg.Nodes)
 		for node := 0; node < cfg.Nodes; node++ {
 			n := node

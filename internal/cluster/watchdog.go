@@ -122,8 +122,8 @@ func (c *Cluster) diagnostics() string {
 	}
 	if c.Chaos != nil {
 		cs := c.Chaos.Stats()
-		fmt.Fprintf(&b, "  chaos: flapDrops=%d geDrops=%d transitions=%d degraded=%d flapEdges=%d\n",
-			cs.FlapDrops, cs.GEDrops, cs.Transitions, cs.Degraded, c.FlapEdges())
+		fmt.Fprintf(&b, "  chaos: flapDrops=%d geDrops=%d transitions=%d flapEdges=%d\n",
+			cs.FlapDrops, cs.GEDrops, cs.Transitions, c.FlapEdges())
 	}
 	return strings.TrimRight(b.String(), "\n")
 }

@@ -146,7 +146,7 @@ func TestTable2AblationRanking(t *testing.T) {
 	}
 }
 
-func TestTable3MisorderDegrades(t *testing.T) {
+func TestTable3MisorderAddsLatency(t *testing.T) {
 	rep := Table3(quick)
 	for _, row := range rep.Rows {
 		inOrder := parseFloat(t, row[1])

@@ -133,7 +133,6 @@ func Autotune(opts Options) *Report {
 		Strategies:  strategies,
 		Delays:      delays,
 		MaxEvals:    budget,
-		Par:         opts.Par,
 	})
 	if err != nil {
 		rep.Notes = append(rep.Notes, fmt.Sprintf("ERROR: %v", err))

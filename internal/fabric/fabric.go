@@ -3,18 +3,25 @@
 // and queueing, propagation delay, per-frame timing jitter, and optional
 // fault injection (drop, duplicate, delay-induced reordering).
 //
-// Two switching models are available, selected by Topology:
+// Two switching models are available, selected by Topology. Both time
+// egress the same way: each egress port keeps a busy-until horizon, and a
+// frame starts transmitting when it is ready at the switch or when the
+// port's previous frame has left, whichever is later.
 //
-//   - TopologyDirect (the default, and the paper's evaluation setup): every
-//     egress port is an ideal unbounded serialization resource. Frames are
-//     never lost to congestion; a burst into one port simply stretches the
-//     busy-until horizon. This is exact for the paper's 2-node back-to-back
-//     link and stays bit-identical across releases.
+//   - TopologyDirect (the default, and the paper's evaluation setup): the
+//     sender reserves the destination port's horizon at send time, so the
+//     port is an unbounded serialization resource. Frames are never lost to
+//     congestion; a burst into one port simply stretches the horizon. This
+//     is exact for the paper's 2-node back-to-back link and stays
+//     bit-identical across releases. Reserving a shared horizon from the
+//     sending side couples ports at zero distance, so the model has zero
+//     lookahead and always runs serially.
 //   - TopologyOutputQueued: an output-queued switch with a bounded FIFO
 //     drop-tail queue per egress port and per-port occupancy/drop/latency
-//     statistics. This is the model for N-node shared-fabric scenarios
-//     (incast fan-in, background bulk streams congesting a port) where the
-//     interrupt-load/latency tradeoff meets switch buffering.
+//     statistics. The port reserves its horizon when it admits a frame, on
+//     the port's own shard. This is the model for N-node shared-fabric
+//     scenarios (incast fan-in, background bulk streams congesting a port)
+//     where the interrupt-load/latency tradeoff meets switch buffering.
 //
 // The fabric is where large-message bandwidth and the inter-packet gaps seen
 // by the receiving NIC are decided, so it directly shapes the pull-protocol
@@ -24,12 +31,12 @@
 //
 // The output-queued switch can run under the conservative parallel engine
 // (see internal/sim.Group): every port is bound to a shard engine
-// (BindPort), all port state — busy horizons, egress queue, statistics,
-// RNG stream, delivery-record free list — is touched only by events running
-// on that port's shard, and a send whose destination port lives on another
-// shard is parked in a per-source-shard outbox instead of being scheduled
-// directly. The synchronizer drains the outboxes between windows
-// (FlushShards) while every shard goroutine is parked.
+// (BindPort), all port state — busy horizons, admitted start times,
+// statistics, RNG stream, delivery-record free list — is touched only by
+// events running on that port's shard, and a send whose destination port
+// lives on another shard is parked in a per-source-shard outbox instead of
+// being scheduled directly. The synchronizer drains the outboxes between
+// windows (FlushShards) while every shard goroutine is parked.
 //
 // The switch supplies the two properties the synchronizer's determinism
 // argument needs:
@@ -47,8 +54,8 @@
 //
 // To keep "same model, any Parallelism" bit-identical, the queued path uses
 // the per-port RNG streams and pri stamps even when running on a single
-// engine. The direct topology predates all of this and is frozen
-// (zero-lookahead shared egress horizons); it always runs serially.
+// engine. The direct topology predates all of this and is frozen: it keeps
+// the switch-wide RNG stream and always runs serially.
 //
 // # Frame ownership and reference counting
 //
@@ -60,9 +67,9 @@
 // full egress queue — calls Release exactly once. Duplicate delivery takes
 // one extra reference with Ref, so each of the two deliveries hands an
 // independently owned reference to the receiver. The fabric never touches a
-// frame after delivering or releasing it: queue entries, in-flight delivery
-// records, and the free lists they recycle through only ever hold frames
-// the fabric currently owns.
+// frame after delivering or releasing it: in-flight delivery records and
+// the free lists they recycle through only ever hold frames the fabric
+// currently owns.
 package fabric
 
 import (
@@ -167,33 +174,21 @@ type Fault struct {
 	// per source node (see internal/chaos) or make the filter pure.
 	Filter func(*wire.Frame) bool
 	// Hook, when non-nil, is consulted per frame before the static
-	// probabilities and may drop, delay, or stretch the frame's
-	// serialization — the extension point for time-varying fault
-	// scenarios (link flaps, bursty loss, bandwidth degradation; see
-	// internal/chaos). The same concurrency rules as Filter apply:
-	// Decide runs on the source port's shard, so implementations must
-	// key mutable state (Markov chains, RNG streams) by source node.
+	// probabilities and may drop it — the extension point for
+	// time-varying fault scenarios (link flaps, bursty loss; see
+	// internal/chaos). The same concurrency rules as Filter apply: Drop
+	// runs on the source port's shard, so implementations must key
+	// mutable state (Markov chains, RNG streams) by source node.
 	Hook Hook
 }
 
-// Decision is a Hook's verdict on one frame.
-type Decision struct {
-	// Drop loses the frame before it occupies the sender's wire (a down
-	// link transmits nothing).
-	Drop bool
-	// Delay holds the frame back at the switch, reordering it behind
-	// later traffic.
-	Delay sim.Time
-	// SerScale stretches the frame's serialization time when > 1
-	// (transient bandwidth degradation); values <= 1 leave it unchanged.
-	SerScale float64
-}
-
-// Hook decides time-varying per-frame faults. src and dst are the node
+// Hook drops frames by time-varying rules. src and dst are the node
 // indices of the frame's source and destination ports (wire.MAC.NodeIndex)
-// and now is the source shard's current virtual time.
+// and now is the source shard's current virtual time. A dropped frame is
+// lost before it occupies the sender's wire (a down link transmits
+// nothing).
 type Hook interface {
-	Decide(src, dst int, now sim.Time, f *wire.Frame) Decision
+	Drop(src, dst int, now sim.Time) bool
 }
 
 func (fl *Fault) matches(f *wire.Frame) bool {
@@ -222,9 +217,9 @@ type PortStats struct {
 	Drops uint64 `json:"drops"`
 	// MaxQueueFrames is the queue-occupancy high-water mark, in frames.
 	MaxQueueFrames int `json:"max_queue_frames"`
-	// QueueWait accumulates the time frames spent waiting in the egress
-	// queue before their transmission started; QueueWait / Enqueued is the
-	// mean per-frame queueing latency.
+	// QueueWait accumulates the time frames wait in the egress queue
+	// before their transmission starts, charged when the port admits them;
+	// QueueWait / Enqueued is the mean per-frame queueing latency.
 	QueueWait sim.Time `json:"queue_wait_ns"`
 }
 
@@ -246,7 +241,6 @@ type Switch struct {
 	// fire through bound callbacks, so forwarding a frame never allocates.
 	deliverFn func(any)
 	enqueueFn func(any)
-	txDoneFn  func(any)
 
 	// outbox parks cross-shard sends, one slice per source shard so shard
 	// goroutines never contend; FlushShards drains them between windows.
@@ -270,15 +264,6 @@ type delivery struct {
 	f *wire.Frame
 }
 
-// qent is one frame waiting in an egress queue, stamped with its enqueue
-// time for the queueing-latency statistics. Entries are plain values inside
-// the port's queue slice, so the queue itself never allocates per frame
-// once its backing array has grown.
-type qent struct {
-	f  *wire.Frame
-	at sim.Time
-}
-
 type port struct {
 	mac  wire.MAC
 	rx   Receiver
@@ -300,13 +285,13 @@ type port struct {
 	delivFree  []*delivery
 
 	ingressBusy sim.Time // sender-side wire occupancy
-	egressBusy  sim.Time // receiver-side wire occupancy (direct model)
+	egressBusy  sim.Time // receiver-side wire occupancy
 
-	// Output-queued model state: the bounded drop-tail FIFO, holding at
-	// most the switch's qcap frames, and whether the port is currently
-	// clocking a frame out.
-	q      sim.Queue[qent]
-	txBusy bool
+	// starts holds the transmit start times of the frames the
+	// output-queued port has admitted, ascending. Those after now are the
+	// frames still waiting: the queue that drop-tail bounds to the
+	// switch's qcap.
+	starts sim.Queue[sim.Time]
 
 	// tr is the node's telemetry handle for egress-queue events (nil =
 	// tracing disabled); it is owned by the same shard as the port.
@@ -321,7 +306,6 @@ func NewSwitch(eng *sim.Engine, link params.Link, rng *sim.RNG) *Switch {
 	s := &Switch{eng: eng, link: link, rng: rng, ports: make(map[wire.MAC]*port), qcap: Topology{}.queueCap()}
 	s.deliverFn = func(x any) { s.deliverNow(x.(*delivery)) }
 	s.enqueueFn = func(x any) { s.enqueueNow(x.(*delivery)) }
-	s.txDoneFn = func(x any) { s.txDone(x.(*port)) }
 	return s
 }
 
@@ -348,11 +332,12 @@ func (s *Switch) Attach(mac wire.MAC, rx Receiver) {
 	if _, dup := s.ports[mac]; dup {
 		panic(fmt.Sprintf("fabric: duplicate port %s", mac))
 	}
-	idx := uint64(mac[3])<<16 | uint64(mac[4])<<8 | uint64(mac[5])
+	node := mac.NodeIndex()
+	idx := uint64(node)
 	s.ports[mac] = &port{
 		mac:     mac,
 		rx:      rx,
-		node:    int(idx),
+		node:    node,
 		eng:     s.eng,
 		rng:     s.rng.Derive(0xF0<<56 | idx),
 		priBase: (idx + 1) << 40,
@@ -442,14 +427,19 @@ func (s *Switch) BindTrace(mac wire.MAC, h *trace.Node) {
 	p.tr = h
 }
 
-// QueueLen returns the current egress-queue depth of mac's port (always 0
-// in the direct model).
+// QueueLen returns the current egress-queue depth of mac's port: the
+// admitted frames whose transmission starts after now (always 0 in the
+// direct model).
 func (s *Switch) QueueLen(mac wire.MAC) int {
 	p, ok := s.ports[mac]
 	if !ok {
 		panic(fmt.Sprintf("fabric: unknown port %s", mac))
 	}
-	return p.q.Len()
+	now, i := p.eng.Now(), 0
+	for i < p.starts.Len() && p.starts.At(i) <= now {
+		i++
+	}
+	return p.starts.Len() - i
 }
 
 // Send injects a frame at the source port at the current virtual time. The
@@ -473,49 +463,45 @@ func (s *Switch) Send(f *wire.Frame) {
 	s.sendDirect(src, dst, f)
 }
 
-// sendDirect is the legacy ideal path: all timing is computed up front on
-// busy-until horizons and only the final arrival is a scheduled event. This
-// code path (including its RNG draw order) is frozen: existing 2-node
-// reports depend on it bit for bit.
-func (s *Switch) sendDirect(src, dst *port, f *wire.Frame) {
-	now := s.eng.Now()
-	ser := s.link.SerializationTime(f.WireBytes())
-
-	// Scenario hook: consulted before any horizon arithmetic, so a
-	// hook-dropped frame never occupies the wire. When no hook is
-	// installed (every pre-existing configuration) this path — timing and
-	// RNG draws alike — is untouched.
-	var hookDelay sim.Time
-	if h := s.hook(); h != nil {
-		d := h.Decide(src.node, dst.node, now, f)
-		if d.Drop {
-			src.faultDrops++
-			f.Release()
-			return
-		}
-		if d.SerScale > 1 {
-			ser = sim.Time(float64(ser) * d.SerScale)
-		}
-		hookDelay = d.Delay
+// ingress is the part of a send both switching models share: the scenario
+// hook's verdict, then the sender's wire, which is busy until the frame has
+// left the NIC. It returns when the frame, after propagation and the
+// store-and-forward switch latency, is ready for the destination's egress,
+// and the frame's serialization time. ok is false when the hook dropped the
+// frame, which is then released before it ever occupied the wire. It runs
+// on the source port's shard and touches only source-port state.
+func (s *Switch) ingress(src, dst *port, f *wire.Frame) (ready, ser sim.Time, ok bool) {
+	now := src.eng.Now()
+	if h := s.hook(); h != nil && h.Drop(src.node, dst.node, now) {
+		src.faultDrops++
+		f.Release()
+		return 0, 0, false
 	}
-
-	// Ingress: the sender's wire is busy until the frame has left the NIC.
-	start := now
-	if src.ingressBusy > start {
-		start = src.ingressBusy
-	}
-	atSwitch := start + ser + s.link.PropagationDelay
+	ser = s.link.SerializationTime(f.WireBytes())
+	start := max(now, src.ingressBusy)
 	src.ingressBusy = start + ser
+	return start + ser + s.link.PropagationDelay + s.link.SwitchLatency, ser, true
+}
 
-	// Store-and-forward switch latency, then egress serialization toward
-	// the destination (shared by all flows targeting that port).
-	ready := atSwitch + s.link.SwitchLatency + hookDelay
-	egStart := ready
-	if dst.egressBusy > egStart {
-		egStart = dst.egressBusy
+// egress reserves p's wire for a frame of serialization time ser that is
+// ready at ready, and returns the frame's transmit start.
+func (p *port) egress(ready, ser sim.Time) sim.Time {
+	start := max(ready, p.egressBusy)
+	p.egressBusy = start + ser
+	return start
+}
+
+// sendDirect is the legacy ideal path: the destination's egress is
+// reserved at send time and only the final arrival is a scheduled event.
+// This code path (including its RNG draw order: jitter, then the static
+// drop, delay and duplicate draws) is frozen: existing 2-node reports
+// depend on it bit for bit.
+func (s *Switch) sendDirect(src, dst *port, f *wire.Frame) {
+	ready, ser, ok := s.ingress(src, dst, f)
+	if !ok {
+		return
 	}
-	dst.egressBusy = egStart + ser
-	arrival := egStart + ser + s.link.PropagationDelay
+	arrival := dst.egress(ready, ser) + ser + s.link.PropagationDelay
 	arrival += s.rng.Jitter(0, s.link.JitterSD)
 
 	// Fault injection. The caller's frame reference transfers to the
@@ -537,40 +523,16 @@ func (s *Switch) sendDirect(src, dst *port, f *wire.Frame) {
 	s.deliver(dst, f, arrival)
 }
 
-// sendQueued is the output-queued path: ingress serialization and switch
-// transit are computed up front, but the egress port is a real queue whose
-// occupancy is evaluated when the frame reaches it, so congestion, loss and
-// queueing delay emerge from event order rather than busy-until arithmetic.
-// It runs on the source port's shard and touches only source-port state,
-// the fault/topology configuration (read-only), and scheduleEgress.
+// sendQueued is the output-queued path: the frame is offered to the
+// destination's bounded egress queue when it reaches the switch, so
+// congestion, loss and queueing delay depend on what the port has admitted
+// by then. It runs on the source port's shard and touches only source-port
+// state, the fault/topology configuration (read-only), and scheduleEgress.
 func (s *Switch) sendQueued(src, dst *port, f *wire.Frame) {
-	now := src.eng.Now()
-	ser := s.link.SerializationTime(f.WireBytes())
-
-	// Scenario hook, before any source-port state changes: a down link
-	// transmits nothing. Decide runs on the source port's shard, keyed by
-	// source node, which is what makes time-varying hook state par-safe.
-	var hookDelay sim.Time
-	if h := s.hook(); h != nil {
-		d := h.Decide(src.node, dst.node, now, f)
-		if d.Drop {
-			src.faultDrops++
-			f.Release()
-			return
-		}
-		if d.SerScale > 1 {
-			ser = sim.Time(float64(ser) * d.SerScale)
-		}
-		hookDelay = d.Delay
+	ready, ser, ok := s.ingress(src, dst, f)
+	if !ok {
+		return
 	}
-
-	start := now
-	if src.ingressBusy > start {
-		start = src.ingressBusy
-	}
-	atSwitch := start + ser + s.link.PropagationDelay
-	src.ingressBusy = start + ser
-	ready := atSwitch + s.link.SwitchLatency + hookDelay
 
 	// Fault injection happens at the switch, before the egress queue: a
 	// dropped frame never occupies buffer space. Draws come from the source
@@ -608,51 +570,35 @@ func (s *Switch) scheduleEgress(src, dst *port, f *wire.Frame, at sim.Time) {
 }
 
 // enqueueNow offers a frame to the egress queue: drop-tail when full,
-// otherwise FIFO admission; an idle port starts transmitting immediately.
-// Runs on p's shard.
+// otherwise FIFO admission. An admitted frame gets its transmit start on
+// the port's busy-until horizon right away, and its arrival is scheduled
+// then; frames whose start has come are no longer queued. A transmission
+// that ends at now has freed the port before any offer at now. Runs on p's
+// shard.
 //
 //omxlint:hotpath
 func (s *Switch) enqueueNow(d *delivery) {
 	p, f := d.p, d.f
 	p.putDelivery(d)
-	if p.q.Len() >= s.qcap {
+	now := p.eng.Now()
+	for p.starts.Len() > 0 && p.starts.At(0) <= now {
+		p.starts.PopFront()
+	}
+	if p.starts.Len() >= s.qcap {
 		p.stats.Drops++
-		p.tr.Event(p.eng.Now(), trace.EvPortDrop, int64(p.stats.Drops))
+		p.tr.Event(now, trace.EvPortDrop, int64(p.stats.Drops))
 		f.Release()
 		return
 	}
-	p.q.PushBack(qent{f: f, at: p.eng.Now()})
+	ser := s.link.SerializationTime(f.WireBytes())
+	start := p.egress(now, ser)
+	p.starts.PushBack(start)
 	p.stats.Enqueued++
-	if n := p.q.Len(); n > p.stats.MaxQueueFrames {
+	if n := p.starts.Len(); n > p.stats.MaxQueueFrames {
 		p.stats.MaxQueueFrames = n
 	}
-	if !p.txBusy {
-		s.txStart(p)
-	}
-}
-
-// txStart pops the egress queue's head and clocks it onto the port's link:
-// the frame arrives after serialization + propagation (+ jitter), and the
-// port frees up for the next queued frame after serialization alone.
-//
-//omxlint:hotpath
-func (s *Switch) txStart(p *port) {
-	e := p.q.PopFront()
-	now := p.eng.Now()
-	p.stats.QueueWait += now - e.at
-	p.txBusy = true
-	ser := s.link.SerializationTime(e.f.WireBytes())
-	arrival := now + ser + s.link.PropagationDelay + p.rng.Jitter(0, s.link.JitterSD)
-	s.deliver(p, e.f, arrival)
-	p.eng.ScheduleArg(now+ser, s.txDoneFn, p)
-}
-
-// txDone frees the egress link and starts the next queued frame, if any.
-func (s *Switch) txDone(p *port) {
-	p.txBusy = false
-	if p.q.Len() > 0 {
-		s.txStart(p)
-	}
+	p.stats.QueueWait += start - now
+	s.deliver(p, f, start+ser+s.link.PropagationDelay+p.rng.Jitter(0, s.link.JitterSD))
 }
 
 // getDelivery takes a record for port p off p's free list. Records for a
@@ -680,7 +626,7 @@ func (p *port) putDelivery(d *delivery) {
 
 // deliver schedules the frame's arrival at p. Its callers run on p's shard
 // (direct sends are always single-shard; queued arrivals come from p's own
-// txStart), so scheduling on p.eng is always a same-shard operation.
+// enqueueNow), so scheduling on p.eng is always a same-shard operation.
 func (s *Switch) deliver(p *port, f *wire.Frame, at sim.Time) {
 	p.eng.ScheduleArg(at, s.deliverFn, p.getDelivery(f))
 }
@@ -714,16 +660,6 @@ func (s *Switch) FramesDropped() uint64 {
 	//omxlint:allow maprange: integer sums are order-independent
 	for _, p := range s.ports {
 		n += p.faultDrops + p.stats.Drops
-	}
-	return n
-}
-
-// BytesDelivered is the total wire-byte count handed to receivers.
-func (s *Switch) BytesDelivered() uint64 {
-	var n uint64
-	//omxlint:allow maprange: integer sums are order-independent
-	for _, p := range s.ports {
-		n += p.stats.BytesDelivered
 	}
 	return n
 }

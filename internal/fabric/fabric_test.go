@@ -238,7 +238,7 @@ func TestStatsAccumulate(t *testing.T) {
 	if sw.FramesDelivered() != 5 {
 		t.Errorf("FramesDelivered = %d, want 5", sw.FramesDelivered())
 	}
-	if sw.BytesDelivered() == 0 {
-		t.Error("BytesDelivered = 0")
+	if st := sw.PortStats(wire.NodeMAC(1)); st.BytesDelivered == 0 {
+		t.Error("PortStats.BytesDelivered = 0")
 	}
 }

@@ -1,8 +1,10 @@
 package fabric
 
 import (
+	"slices"
 	"testing"
 
+	"openmxsim/internal/params"
 	"openmxsim/internal/sim"
 	"openmxsim/internal/wire"
 )
@@ -221,5 +223,149 @@ func TestTopologyKindStrings(t *testing.T) {
 	}
 	if TopologyKind(-3).String() != "topology(-3)" {
 		t.Errorf("negative kind: %q", TopologyKind(-3))
+	}
+}
+
+// refPort is the output-queued egress port written as a transmit state
+// machine: a frame is stamped when the queue admits it, popped when the
+// port starts clocking it out, and an event one serialization time later
+// frees the port for the next. TestQueuedPortMatchesReference holds the
+// switch's port to it.
+type refPort struct {
+	eng      *sim.Engine
+	link     params.Link
+	rng      *sim.RNG
+	qcap     int
+	q        sim.Queue[refEntry]
+	busy     bool
+	stats    PortStats
+	arrivals map[uint32]sim.Time
+}
+
+type refEntry struct {
+	f  *wire.Frame
+	at sim.Time
+}
+
+func (r *refPort) enqueue(x any) {
+	f := x.(*wire.Frame)
+	if r.q.Len() >= r.qcap {
+		r.stats.Drops++
+		return
+	}
+	r.q.PushBack(refEntry{f: f, at: r.eng.Now()})
+	r.stats.Enqueued++
+	r.stats.MaxQueueFrames = max(r.stats.MaxQueueFrames, r.q.Len())
+	if !r.busy {
+		r.transmit()
+	}
+}
+
+func (r *refPort) transmit() {
+	e := r.q.PopFront()
+	now := r.eng.Now()
+	r.stats.QueueWait += now - e.at
+	r.busy = true
+	ser := r.link.SerializationTime(e.f.WireBytes())
+	r.eng.ScheduleArg(now+ser+r.link.PropagationDelay+r.rng.Jitter(0, r.link.JitterSD), r.deliver, e.f)
+	r.eng.ScheduleArg(now+ser, r.transmitted, nil)
+}
+
+func (r *refPort) transmitted(any) {
+	r.busy = false
+	if r.q.Len() > 0 {
+		r.transmit()
+	}
+}
+
+func (r *refPort) deliver(x any) {
+	f := x.(*wire.Frame)
+	r.stats.FramesDelivered++
+	r.stats.BytesDelivered += uint64(f.WireBytes())
+	r.arrivals[f.Header.Seq] = r.eng.Now()
+}
+
+// TestQueuedPortMatchesReference offers the same frames to the switch's
+// egress port and to refPort: same instants, same pri keys, same sizes.
+// Every frame must meet the same fate at the same arrival time, the
+// PortStats must agree, and so must QueueLen right after every offer.
+// Offers from up to four sources share instants with each other and with
+// transmit completions, where the order of admission and release decides
+// drop-tail.
+func TestQueuedPortMatchesReference(t *testing.T) {
+	link := params.Default().Link // with jitter: both sides draw it per frame, in FIFO order
+	sizes := []int{0, 64, 512, 1472}
+	gen := sim.NewRNG(42)
+	for trial := 0; trial < 300; trial++ {
+		qcap := 1 + gen.Intn(8)
+		nsrc := 1 + gen.Intn(4)
+		seed := gen.Uint64()
+		mac := wire.NodeMAC(0)
+
+		eng := sim.NewEngine()
+		sw := NewSwitch(eng, link, sim.NewRNG(seed))
+		sw.SetTopology(Topology{Kind: TopologyOutputQueued, EgressQueueFrames: qcap})
+		out := &sink{eng: eng}
+		sw.Attach(mac, out)
+		p := sw.ports[mac]
+
+		reng := sim.NewEngine()
+		ref := &refPort{
+			eng:  reng,
+			link: link,
+			// Node 0's port stream, derived from the switch seed as Attach does.
+			rng:      sim.NewRNG(seed).Derive(0xF0 << 56),
+			qcap:     qcap,
+			arrivals: map[uint32]sim.Time{},
+		}
+
+		var qlen, refQlen []int
+		msgSeq := make([]uint64, nsrc)
+		at, lastSer := sim.Time(0), sim.Time(0)
+		const offers = 48
+		for i := 0; i < offers; i++ {
+			switch gen.Intn(4) {
+			case 1: // lands where an idle port's last frame finishes
+				at += lastSer
+			case 2:
+				at += sim.Time(gen.Intn(3000))
+			case 3:
+				at += sim.Time(gen.Intn(200))
+			}
+			src := gen.Intn(nsrc)
+			msgSeq[src]++
+			pri := uint64(src+1)<<40 | msgSeq[src]
+			size := sizes[gen.Intn(len(sizes))]
+			h := wire.Header{Type: wire.TypeSmall, Seq: uint32(i)}
+			f := wire.NewFrame(wire.NodeMAC(src+1), mac, h, nil, size)
+			lastSer = link.SerializationTime(f.WireBytes())
+
+			eng.ScheduleArgPri(at, pri, sw.enqueueFn, p.getDelivery(f))
+			eng.ScheduleArgPri(at, pri, func(any) { qlen = append(qlen, sw.QueueLen(mac)) }, nil)
+			rf := wire.NewFrame(wire.NodeMAC(src+1), mac, h, nil, size)
+			reng.ScheduleArgPri(at, pri, ref.enqueue, rf)
+			reng.ScheduleArgPri(at, pri, func(any) { refQlen = append(refQlen, ref.q.Len()) }, nil)
+		}
+		eng.Run()
+		reng.Run()
+
+		got := map[uint32]sim.Time{}
+		for k, f := range out.frames {
+			got[f.Header.Seq] = out.times[k]
+		}
+		for i := uint32(0); i < offers; i++ {
+			g, gok := got[i]
+			w, wok := ref.arrivals[i]
+			if gok != wok || g != w {
+				t.Fatalf("trial %d (qcap %d, %d sources): frame %d delivered=%v at %d, reference delivered=%v at %d",
+					trial, qcap, nsrc, i, gok, g, wok, w)
+			}
+		}
+		if st := sw.PortStats(mac); st != ref.stats {
+			t.Fatalf("trial %d (qcap %d, %d sources): PortStats %+v, reference %+v", trial, qcap, nsrc, st, ref.stats)
+		}
+		if !slices.Equal(qlen, refQlen) {
+			t.Fatalf("trial %d (qcap %d, %d sources): QueueLen after each offer %v, reference %v", trial, qcap, nsrc, qlen, refQlen)
+		}
 	}
 }

@@ -89,10 +89,10 @@ type NIC struct {
 
 	queues []*rxQueue
 
-	fwBusyUntil  sim.Time
-	dmaBusyUntil sim.Time
-	txBusyUntil  sim.Time
-	inflight     int // frames accepted but whose DMA has not completed
+	fwBusyUntil   sim.Time
+	dmaBusyUntil  sim.Time
+	sendBusyUntil sim.Time
+	inflight      int // frames accepted but whose DMA has not completed
 
 	descFree    []*RxDesc
 	submitDMAFn func(any)
@@ -345,13 +345,13 @@ func (n *NIC) pollStep(q *rxQueue) {
 func (n *NIC) SendFrame(f *wire.Frame) {
 	now := n.eng.Now()
 	start := now
-	if n.txBusyUntil > start {
-		start = n.txBusyUntil
+	if n.sendBusyUntil > start {
+		start = n.sendBusyUntil
 	}
-	n.txBusyUntil = start + n.p.NIC.TxTime(f.WireBytes())
+	n.sendBusyUntil = start + n.p.NIC.TxTime(f.WireBytes())
 	n.Stats.PacketsSent++
 	n.Stats.BytesSent += uint64(f.WireBytes())
-	n.eng.ScheduleArg(n.txBusyUntil, n.txWireFn, f)
+	n.eng.ScheduleArg(n.sendBusyUntil, n.txWireFn, f)
 }
 
 // txWire puts a fetched frame on the wire and reports the tx completion

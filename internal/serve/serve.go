@@ -60,7 +60,8 @@ type Config struct {
 	MaxPerClient int
 	// JobTimeout is the per-job deadline (default 10 minutes; < 0 = none).
 	JobTimeout time.Duration
-	// Workers and Par are handed to the executors (sweep.Run semantics);
+	// Workers and Par are handed to the executors (sweep.Run semantics;
+	// Par only reaches sweep jobs, and shards only their -qframes points);
 	// they shape execution speed, never results.
 	Workers, Par int
 	// Executors is the number of jobs run concurrently (default 1: many
@@ -292,7 +293,7 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 	}
 	run := func(ctx context.Context, obs sweep.Observer) ([]byte, error) {
 		sp := spec
-		sp.Workers, sp.Par, sp.Observer = s.cfg.Workers, s.cfg.Par, obs
+		sp.Workers, sp.Observer = s.cfg.Workers, obs
 		out, err := tune.SearchContext(ctx, sp)
 		if err != nil {
 			return nil, err

@@ -1,7 +1,9 @@
 package sweep
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -132,5 +134,19 @@ func TestGridDropAxes(t *testing.T) {
 	}
 	if _, err := Run(Grid{Burst: []float64{-2}, Iters: 1}, 1); err == nil {
 		t.Error("negative burst accepted")
+	}
+	// NaN and infinite bursts fail the range checks instead of running
+	// clean.
+	nan := math.NaN()
+	for _, g := range []Grid{
+		{DropProb: []float64{nan}},
+		{DropProb: []float64{0.02}, Burst: []float64{nan}},
+		{DropProb: []float64{0.02}, Burst: []float64{math.Inf(1)}},
+	} {
+		g.Iters = 1
+		_, err := Run(g, 1)
+		if err == nil || !strings.Contains(err.Error(), "invalid") {
+			t.Errorf("drop %v burst %v: error %v, want a range error", g.DropProb, g.Burst, err)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -64,17 +65,18 @@ func RunContext(ctx context.Context, g Grid, workers int, obs Observer) (Results
 		if p.Nodes < 2 {
 			return nil, fmt.Errorf("sweep: point %d: invalid node count %d: want >= 2 (the ping-pong needs two nodes)", p.Index, p.Nodes)
 		}
-		if p.DropProb < 0 || p.DropProb >= 1 {
+		// Written so that NaN fails too.
+		if !(p.DropProb >= 0 && p.DropProb < 1) {
 			return nil, fmt.Errorf("sweep: point %d: invalid drop probability %g: want [0,1)", p.Index, p.DropProb)
 		}
-		if p.Burst < 0 {
-			return nil, fmt.Errorf("sweep: point %d: invalid burst length %g: want >= 0", p.Index, p.Burst)
+		if !(p.Burst >= 0) || math.IsInf(p.Burst, 1) {
+			return nil, fmt.Errorf("sweep: point %d: invalid burst length %g: want >= 0 and finite", p.Index, p.Burst)
 		}
 		if err := p.Config().Validate(); err != nil {
 			return nil, fmt.Errorf("sweep: point %d: %w", p.Index, err)
 		}
 	}
-	workers = workerBudget(workers, g.Par, len(pts))
+	workers = g.workerBudget(workers)
 	if g.Trace != nil {
 		// A shared event recorder claims one run index per point; a single
 		// worker keeps that claim order equal to grid order, so trace
@@ -159,23 +161,25 @@ func cancelledResult(g Grid, p Point, cause error) Result {
 	}
 }
 
-// workerBudget resolves the worker-pool size: non-positive means
-// GOMAXPROCS, and the pool never exceeds the point count. Each worker
-// drives up to par simulation goroutines, so the real concurrency is
-// workers x par; when par > 1 the pool shrinks so the product stays within
-// the machine rather than letting the two knobs silently multiply past it
-// (oversubscription slows every point's barrier windows at once).
-func workerBudget(workers, par, points int) int {
+// workerBudget resolves the worker-pool size for the normalized grid g:
+// non-positive means GOMAXPROCS, and the pool never exceeds the point
+// count. On the output-queued fabric (QFrames > 0) each worker drives up
+// to Par simulation goroutines, so the real concurrency is workers x Par;
+// the pool then shrinks so the product stays within the machine rather
+// than letting the two knobs silently multiply past it (oversubscription
+// slows every point's barrier windows at once). The direct fabric never
+// shards, so there Par costs no workers.
+func (g Grid) workerBudget(workers int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if par > 1 {
-		if cap := runtime.GOMAXPROCS(0) / par; workers > cap {
+	if g.Par > 1 && g.QFrames > 0 {
+		if cap := runtime.GOMAXPROCS(0) / g.Par; workers > cap {
 			workers = cap
 		}
 	}
-	if workers > points {
-		workers = points
+	if n := g.Size(); workers > n {
+		workers = n
 	}
 	if workers < 1 {
 		workers = 1
@@ -186,8 +190,7 @@ func workerBudget(workers, par, points int) int {
 // Workers reports the worker-pool size Run will use for this grid and
 // requested worker count (omxsweep's banner mirrors it).
 func (g Grid) Workers(workers int) int {
-	g = g.normalized()
-	return workerBudget(workers, g.Par, g.Size())
+	return g.normalized().workerBudget(workers)
 }
 
 // pointScratch is per-worker reusable state for runPoint. Workers own one

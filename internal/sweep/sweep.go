@@ -75,12 +75,14 @@ type Grid struct {
 	// MessageRate).
 	RateWarmup, RateMeasure sim.Time
 	// Par is the per-point simulation parallelism (cluster.Config
-	// .Parallelism): every point's cluster shards across this many engines.
-	// normalized clamps it to [1, NumCPU], and Run shrinks its worker pool
-	// so workers x Par never oversubscribes the machine. For wide grids of
-	// small points the default (1) is optimal — cross-point workers beat
-	// intra-point sharding; Par earns its keep on grids of few, large
-	// (many-node, congested) points.
+	// .Parallelism): every point's cluster shards across this many engines
+	// when QFrames selects the output-queued fabric, and runs serially
+	// otherwise. normalized clamps it to [1, NumCPU], and on the queued
+	// fabric Run shrinks its worker pool so workers x Par never
+	// oversubscribes the machine. For wide grids of small points the
+	// default (1) is optimal — cross-point workers beat intra-point
+	// sharding; Par earns its keep on grids of few, large (many-node,
+	// congested) points.
 	Par int
 	// QFrames, when positive, swaps every point's fabric to the bounded
 	// output-queued topology with this egress queue depth (omxsim's

@@ -110,23 +110,28 @@ func TestGridParClamp(t *testing.T) {
 	}
 }
 
-// TestWorkerBudget pins the workers x par oversubscription clamp: an
-// explicit worker count survives at par 1 (users may oversubscribe on
-// purpose), but any par > 1 shrinks the pool so the product stays within
-// GOMAXPROCS, and the result never leaves [1, points].
+// TestWorkerBudget pins the workers x par oversubscription clamp on the
+// output-queued fabric: an explicit worker count survives at par 1 (users
+// may oversubscribe on purpose), but any par > 1 shrinks the pool so the
+// product stays within GOMAXPROCS, and the result never leaves [1, points].
 func TestWorkerBudget(t *testing.T) {
 	max := runtime.GOMAXPROCS(0)
-	if got := workerBudget(6, 1, 100); got != 6 {
+	budget := func(workers, par, points int) int {
+		g := Grid{Sizes: make([]int, points), QFrames: 64}.normalized()
+		g.Par = par
+		return g.workerBudget(workers)
+	}
+	if got := budget(6, 1, 100); got != 6 {
 		t.Errorf("explicit workers=6 par=1 became %d", got)
 	}
-	if got, want := workerBudget(0, 1, 1000), min(max, 1000); got != want {
+	if got, want := budget(0, 1, 1000), min(max, 1000); got != want {
 		t.Errorf("default workers = %d, want %d", got, want)
 	}
-	if got := workerBudget(7, 1, 3); got != 3 {
+	if got := budget(7, 1, 3); got != 3 {
 		t.Errorf("workers not capped at point count: %d", got)
 	}
 	for _, par := range []int{2, max + 1, 4 * max} {
-		got := workerBudget(100, par, 1000)
+		got := budget(100, par, 1000)
 		if got < 1 {
 			t.Fatalf("par %d: budget %d < 1", par, got)
 		}
@@ -134,8 +139,24 @@ func TestWorkerBudget(t *testing.T) {
 			t.Errorf("par %d: workers %d oversubscribes %d cores", par, got, max)
 		}
 	}
-	if got := workerBudget(-3, 4*max, 50); got != 1 {
+	if got := budget(-3, 4*max, 50); got != 1 {
 		t.Errorf("overcommitted par must degrade to 1 worker, got %d", got)
+	}
+}
+
+// TestParShrinksPoolOnlyOnQueuedFabric: only output-queued points shard,
+// so Par costs workers there and nowhere else. A direct-fabric grid at
+// Par 2 keeps the Par 1 pool.
+func TestParShrinksPoolOnlyOnQueuedFabric(t *testing.T) {
+	sizes := []int{0, 1, 64, 128, 512, 1024, 4096, 65536}
+	serial := Grid{Sizes: sizes, Par: 1}.Workers(0)
+	if got := (Grid{Sizes: sizes, Par: 2}).Workers(0); got != serial {
+		t.Errorf("direct fabric at Par 2: %d workers, want the Par 1 pool of %d", got, serial)
+	}
+	par := min(2, runtime.NumCPU()) // normalized clamps Par to the machine
+	want := max(1, min(runtime.GOMAXPROCS(0)/par, len(sizes)))
+	if got := (Grid{Sizes: sizes, Par: 2, QFrames: 64}).Workers(0); got != want {
+		t.Errorf("queued fabric at Par 2: %d workers, want %d", got, want)
 	}
 }
 

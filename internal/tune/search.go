@@ -66,17 +66,15 @@ type Spec struct {
 	LatencyWeight float64 `json:"latency_weight"`
 	// Workers sizes the sweep worker pool per round (0 = GOMAXPROCS).
 	// Excluded from JSON: the outcome is identical at any worker count.
+	// Each evaluated cluster runs on the direct fabric, which never
+	// shards, so there is no per-point parallelism knob.
 	Workers int `json:"-"`
-	// Par shards each evaluated cluster across this many engines
-	// (sweep.Grid.Par). Excluded from JSON for the same reason as Workers:
-	// the outcome is identical at any parallelism.
-	Par int `json:"-"`
 	// Observer, when non-nil, receives every evaluated point's result the
 	// moment its simulation completes (sweep.Observer semantics: worker
 	// goroutines, completion order, Index still carrying the per-batch
 	// position — the Outcome reindexes afterwards). Execution-only, like
-	// Workers and Par: it never affects the outcome and never reaches the
-	// JSON form.
+	// Workers: it never affects the outcome and never reaches the JSON
+	// form.
 	Observer sweep.Observer `json:"-"`
 }
 
@@ -134,9 +132,10 @@ func (s Spec) normalized() Spec {
 	return s
 }
 
-// validate rejects specs the sweep executor would refuse, before any
-// simulation runs.
-func (s Spec) validate() error {
+// Validate returns an error for a spec the sweep executor would refuse,
+// before any simulation runs. It checks the fields as given, so a caller
+// can run it before Canonical, whose JSON form cannot carry a NaN.
+func (s Spec) Validate() error {
 	if s.Size < 0 {
 		return fmt.Errorf("tune: negative message size %d", s.Size)
 	}
@@ -156,14 +155,15 @@ func (s Spec) validate() error {
 			return fmt.Errorf("tune: negative delay %d in lattice", d)
 		}
 	}
-	if s.LatencyWeight < 0 || s.LatencyWeight > 1 {
+	// Range checks are written so that NaN fails them too.
+	if !(s.LatencyWeight >= 0 && s.LatencyWeight <= 1) {
 		return fmt.Errorf("tune: latency weight %g outside [0,1]", s.LatencyWeight)
 	}
-	if s.DropProb < 0 || s.DropProb >= 1 {
+	if !(s.DropProb >= 0 && s.DropProb < 1) {
 		return fmt.Errorf("tune: drop probability %g outside [0,1)", s.DropProb)
 	}
-	if s.Burst < 0 {
-		return fmt.Errorf("tune: negative burst length %g", s.Burst)
+	if !(s.Burst >= 0) || math.IsInf(s.Burst, 1) {
+		return fmt.Errorf("tune: burst length %g: want >= 0 and finite", s.Burst)
 	}
 	return nil
 }
@@ -238,13 +238,12 @@ func FeedbackGoalFor(p Point) nic.FeedbackGoal {
 
 // Canonical returns the spec in content-address form: every defaulted
 // field filled — so equivalent spellings of the same tuning problem
-// collide on one cache key — and the execution-only knobs (Workers, Par,
+// collide on one cache key — and the execution-only knobs (Workers,
 // Observer) cleared, because the outcome is bit-identical at any worker
-// count and parallelism and must not split a result cache by machine
-// shape.
+// count and must not split a result cache by machine shape.
 func (s Spec) Canonical() Spec {
 	s = s.normalized()
-	s.Workers, s.Par, s.Observer = 0, 0, nil
+	s.Workers, s.Observer = 0, nil
 	return s
 }
 
@@ -282,10 +281,10 @@ func Search(spec Spec) (*Outcome, error) {
 // a sweep, a truncated search has no meaningful partial answer, because
 // the knee moves as points land.
 func SearchContext(ctx context.Context, spec Spec) (*Outcome, error) {
-	spec = spec.normalized()
-	if err := spec.validate(); err != nil {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	spec = spec.normalized()
 	s := &searcher{ctx: ctx, spec: spec, lattice: spec.Delays, seen: map[searchKey]bool{}}
 
 	// Phase 1 — coarse: every strategy at both lattice endpoints and the
@@ -407,7 +406,6 @@ func (s *searcher) evalBatch(st nic.Strategy, indices []int) error {
 		Rate:        s.spec.Rate,
 		RateWarmup:  s.spec.RateWarmup,
 		RateMeasure: s.spec.RateMeasure,
-		Par:         s.spec.Par,
 	}
 	if s.spec.Nodes > 0 {
 		g.Nodes = []int{s.spec.Nodes}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -115,6 +116,7 @@ func TestFrontierEmptyAndSerialization(t *testing.T) {
 }
 
 func TestSpecValidation(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
 	cases := []Spec{
 		{Size: -1},
 		{BgStreams: -1},
@@ -122,6 +124,11 @@ func TestSpecValidation(t *testing.T) {
 		{Strategies: []nic.Strategy{nic.Strategy(99)}},
 		{Delays: []sim.Time{-sim.Microsecond}},
 		{LatencyWeight: 1.5},
+		{LatencyWeight: nan},
+		{DropProb: nan},
+		{DropProb: 0.02, Burst: nan},
+		{DropProb: 0.02, Burst: inf},
+		{DropProb: 0.02, Burst: -inf},
 	}
 	for i, spec := range cases {
 		if _, err := Search(spec); err == nil {
@@ -313,12 +320,12 @@ func TestSearchContextCancelled(t *testing.T) {
 
 // TestSpecCanonicalStripsExecutionKnobs pins the cache-key form: two
 // spellings of the same problem canonicalize identically whatever their
-// Workers/Par/Observer, so a shared result cache never splits by machine
+// Workers/Observer, so a shared result cache never splits by machine
 // shape.
 func TestSpecCanonicalStripsExecutionKnobs(t *testing.T) {
 	a := Spec{Size: 128}.Canonical()
-	b := Spec{Size: 128, Workers: 7, Par: 4, Observer: func(sweep.Result) {}}.Canonical()
-	if b.Workers != 0 || b.Par != 0 || b.Observer != nil {
+	b := Spec{Size: 128, Workers: 7, Observer: func(sweep.Result) {}}.Canonical()
+	if b.Workers != 0 || b.Observer != nil {
 		t.Fatalf("Canonical kept execution knobs: %+v", b)
 	}
 	aj, err := json.Marshal(a)
