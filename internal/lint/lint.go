@@ -45,6 +45,7 @@ var simVisiblePackages = map[string]bool{
 	"chaos":   true,
 	"cluster": true,
 	"mpi":     true,
+	"proc":    true,
 	"wire":    true,
 	"trace":   true,
 }

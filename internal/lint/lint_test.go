@@ -84,7 +84,7 @@ func TestSimVisibleBoundary(t *testing.T) {
 		"openmxsim/internal/nic", "openmxsim/internal/omx",
 		"openmxsim/internal/host", "openmxsim/internal/chaos",
 		"openmxsim/internal/cluster", "openmxsim/internal/mpi",
-		"openmxsim/internal/trace",
+		"openmxsim/internal/proc", "openmxsim/internal/trace",
 	} {
 		if !lint.SimVisible(path) {
 			t.Errorf("%s fell outside the sim-visible boundary; the suite no longer polices it", path)

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"runtime"
 	"testing"
 
 	"openmxsim/internal/cluster"
@@ -248,6 +249,7 @@ func TestSubCommunicator(t *testing.T) {
 }
 
 func TestDeadlockDetected(t *testing.T) {
+	base := runtime.NumGoroutine()
 	w := world(t, 2)
 	c := w.CommWorld()
 	_, err := w.Run(func(r *Rank) {
@@ -257,6 +259,10 @@ func TestDeadlockDetected(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("deadlock not reported")
+	}
+	// The teardown kills the stuck rank; nothing of it may outlive Run.
+	if n := runtime.NumGoroutine(); n != base {
+		t.Fatalf("%d goroutines after the deadlock teardown, %d before the run", n, base)
 	}
 }
 

@@ -1,12 +1,13 @@
 // Package proc provides deterministic process-style coroutines over the
-// event engine: each simulated rank runs straight-line blocking code in its
-// own goroutine, but control strictly alternates between the engine and at
-// most one rank at a time, so simulations remain bit-reproducible and free
-// of data races by construction.
+// event engine: each simulated rank runs straight-line blocking code as an
+// iter.Pull coroutine, and control strictly alternates between the engine
+// and at most one rank at a time, so simulations remain bit-reproducible
+// and free of data races by construction.
 package proc
 
 import (
 	"fmt"
+	"iter"
 
 	"openmxsim/internal/host"
 	"openmxsim/internal/sim"
@@ -18,8 +19,9 @@ type killSentinel struct{}
 type Proc struct {
 	Name string
 
-	resume  chan struct{}
-	yield   chan struct{}
+	next    func() (struct{}, bool)
+	stop    func()
+	yield   func(struct{}) bool
 	waiting bool
 	done    bool
 	killed  bool
@@ -27,40 +29,29 @@ type Proc struct {
 }
 
 // New creates a process; Start launches it.
-func New(name string) *Proc {
-	return &Proc{
-		Name:   name,
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
-	}
-}
+func New(name string) *Proc { return &Proc{Name: name} }
 
 // Start schedules the process body to begin at virtual time at. The body
-// runs in its own goroutine but only while the engine is blocked on it.
+// runs as a coroutine, only while the engine is blocked on it; a panic in
+// it surfaces on the goroutine that runs the engine.
 func (p *Proc) Start(eng *sim.Engine, at sim.Time, fn func()) {
 	if p.started {
 		panic("proc: double Start")
 	}
 	p.started = true
-	go p.run(fn)
-	eng.Schedule(at, p.step)
-}
-
-func (p *Proc) run(fn func()) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(killSentinel); !ok {
+	if p.done {
+		return // killed before Start: the body never runs
+	}
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		defer func() {
+			if r := recover(); r != nil && !IsKill(r) {
 				panic(r) // real bug in rank code: crash loudly
 			}
-		}
-		p.done = true
-		p.yield <- struct{}{}
-	}()
-	<-p.resume
-	if p.killed {
-		panic(killSentinel{})
-	}
-	fn()
+		}()
+		p.yield = yield
+		fn()
+	})
+	eng.Schedule(at, p.step)
 }
 
 // step transfers control to the process until it blocks or finishes.
@@ -69,18 +60,24 @@ func (p *Proc) step() {
 	if p.done {
 		return
 	}
-	p.resume <- struct{}{}
-	<-p.yield
+	if _, ok := p.next(); !ok {
+		p.done = true
+	}
 }
 
-// block parks the process until the next Wake. Must be called from the
-// process goroutine.
+// block parks the process until the next step. Once Kill has stopped the
+// coroutine, yield returns false and block unwinds the rank's stack with
+// the kill sentinel; a body that swallows the sentinel and blocks again
+// has survived Kill. Must be called from the process body.
 func (p *Proc) block() {
-	p.yield <- struct{}{}
-	<-p.resume
-	if p.killed {
-		panic(killSentinel{})
+	if p.yield(struct{}{}) {
+		return
 	}
+	if p.killed {
+		panic(fmt.Sprintf("proc: %s survived Kill", p.Name))
+	}
+	p.killed = true
+	panic(killSentinel{})
 }
 
 // Wait blocks the process until cond() is true. cond is evaluated in
@@ -114,20 +111,18 @@ func (p *Proc) Done() bool { return p.done }
 // Waiting reports whether the process is blocked in Wait.
 func (p *Proc) Waiting() bool { return p.waiting }
 
-// Kill aborts a blocked process (used to tear down abandoned simulations
-// without leaking goroutines). Must be called from engine context.
+// Kill aborts a blocked process (used to tear down abandoned simulations):
+// the rank's stack unwinds with the kill sentinel and its coroutine ends.
+// A process killed before its first step never runs its body. Must be
+// called from engine context.
 func (p *Proc) Kill() {
 	if p.done {
 		return
 	}
-	p.killed = true
-	if !p.started {
-		return
+	if p.started {
+		p.stop()
 	}
-	p.step()
-	if !p.done {
-		panic(fmt.Sprintf("proc: %s survived Kill", p.Name))
-	}
+	p.done = true
 }
 
 // Advance charges d nanoseconds of user-context work (a compute phase) to

@@ -172,6 +172,80 @@ func TestKillUnblocksStuckProc(t *testing.T) {
 	}
 }
 
+func TestKillBeforeFirstStep(t *testing.T) {
+	eng := sim.NewEngine()
+	p := New("p")
+	ran := false
+	p.Start(eng, 100, func() { ran = true })
+	p.Kill()
+	if !p.Done() {
+		t.Fatal("Kill before the first step left the proc not done")
+	}
+	eng.Run()
+	if ran {
+		t.Fatal("a proc killed before its first step ran its body")
+	}
+}
+
+func TestSwallowedKillPanics(t *testing.T) {
+	eng := sim.NewEngine()
+	p := New("p")
+	never := func() bool { return false }
+	p.Start(eng, 0, func() {
+		func() {
+			defer func() { recover() }() // swallows the kill sentinel
+			p.Wait(never)
+		}()
+		p.Wait(never)
+	})
+	eng.Run()
+	defer func() {
+		if r := recover(); r != "proc: p survived Kill" {
+			t.Fatalf("Kill of a proc that blocked again panicked with %v", r)
+		}
+	}()
+	p.Kill()
+}
+
+func TestRankPanicSurfacesFromRun(t *testing.T) {
+	type bug struct{ n int }
+	eng := sim.NewEngine()
+	p := New("p")
+	p.Start(eng, 0, func() { panic(bug{7}) })
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		eng.Run()
+		return nil
+	}()
+	if got != (bug{7}) {
+		t.Fatalf("eng.Run panicked with %v, want the rank's own value", got)
+	}
+}
+
+func TestHandoffDoesNotAllocate(t *testing.T) {
+	eng := sim.NewEngine()
+	p := New("p")
+	ready, stop := false, false
+	p.Start(eng, 0, func() {
+		for !stop {
+			p.Wait(func() bool { return ready })
+			ready = false
+		}
+	})
+	eng.Run()
+	if got := testing.AllocsPerRun(1000, func() {
+		ready = true
+		p.Wake()
+	}); got != 0 {
+		t.Fatalf("Wake → Wait round trip allocates %v times", got)
+	}
+	stop, ready = true, true
+	p.Wake()
+	if !p.Done() {
+		t.Fatal("proc stuck")
+	}
+}
+
 func TestKillFinishedProcIsNoop(t *testing.T) {
 	eng := sim.NewEngine()
 	p := New("p")

@@ -63,6 +63,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 )
 
 // Time is a virtual timestamp or duration in nanoseconds.
@@ -255,6 +256,10 @@ func (e *Engine) Step() bool {
 	return true
 }
 
+// yieldEvery is how many events the engine runs between trips into the Go
+// scheduler (see runEvent).
+const yieldEvery = 4096
+
 // runEvent advances the clock to a popped event and fires its callback.
 //
 //omxlint:hotpath
@@ -263,6 +268,14 @@ func (e *Engine) runEvent(ev *Event) {
 	e.Executed++
 	if e.Limit > 0 && e.Executed > e.Limit {
 		panic(fmt.Sprintf("sim: event limit %d exceeded at t=%d", e.Limit, e.now))
+	}
+	// At GOMAXPROCS 1 the GC's background mark worker runs only when the
+	// scheduler is entered, and rank handoffs are iter.Pull coroutine
+	// switches that never enter it. Without this yield, marking falls to
+	// allocation assists and the write-barrier window stretches, which
+	// slows every event run while a cycle is in progress.
+	if e.Executed%yieldEvery == 0 {
+		runtime.Gosched()
 	}
 	fn, afn, arg := ev.fn, ev.afn, ev.arg
 	if fn != nil {

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -324,6 +326,33 @@ func TestScheduleStepZeroAllocSteadyState(t *testing.T) {
 		e.Step()
 	}); got != 0 {
 		t.Fatalf("ScheduleArg+Step allocates %v objects/op in steady state, want 0", got)
+	}
+}
+
+// At GOMAXPROCS 1 the engine must enter the Go scheduler while it runs, or
+// the GC's background mark worker never gets the processor (see runEvent).
+// A goroutine started just before Run stands in for the mark worker: it
+// must have run by the last of three yield intervals of chained events.
+func TestRunYieldsToScheduler(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	e := NewEngine()
+	const events = 3 * yieldEvery
+	var ran atomic.Bool
+	n := 0
+	var chain func()
+	chain = func() {
+		n++
+		if n < events {
+			e.After(1, chain)
+		} else if !ran.Load() {
+			t.Errorf("a runnable goroutine did not run during %d events at GOMAXPROCS 1", events)
+		}
+	}
+	e.After(1, chain)
+	go ran.Store(true)
+	e.Run()
+	if n != events {
+		t.Fatalf("ran %d chained events, want %d", n, events)
 	}
 }
 

@@ -131,11 +131,10 @@ func checkPingPong(cfg cluster.Config, sizes []int, iters int, bg Background) er
 // the loaded variant uses it to quench background traffic so the engine
 // can drain.
 //
-// Rank bodies run on their own goroutines, so a panic inside one would
-// escape any recover on the caller's goroutine and kill the whole process;
-// the per-rank recover below converts it into an error instead (the
-// partner rank then deadlocks, which World.Run reports and tears down
-// cleanly).
+// A panic inside a rank body would unwind through World.Run and leave the
+// partner rank parked; the per-rank recover below converts it into an
+// error instead (the partner rank then deadlocks, which World.Run reports
+// and tears down cleanly).
 func runPingPong(w *mpi.World, sizes []int, iters int, onFinish func()) (map[int]sim.Time, int, error) {
 	c := w.CommWorld()
 	const warmup = 2
