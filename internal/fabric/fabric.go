@@ -3,6 +3,10 @@
 // and queueing, propagation delay, per-frame timing jitter, and optional
 // fault injection (drop, duplicate, delay-induced reordering).
 //
+// Ports are indexed by node: the port of node i sits in slot i of the
+// switch and is attached under wire.NodeMAC(i), the only MAC Attach
+// accepts, so a send finds both of its ports without hashing an address.
+//
 // Two switching models are available, selected by Topology. Both time
 // egress the same way: each egress port keeps a busy-until horizon, and a
 // frame starts transmitting when it is ready at the switch or when the
@@ -223,17 +227,19 @@ type PortStats struct {
 	QueueWait sim.Time `json:"queue_wait_ns"`
 }
 
-// Switch is the central store-and-forward element. Ports are registered by
-// MAC; each port has an independent ingress (host->switch) and egress
-// (switch->host) serialization resource, which is how both directions of a
-// full-duplex link and cross-traffic contention are modelled.
+// Switch is the central store-and-forward element. Ports are indexed by
+// node (wire.MAC.NodeIndex of the MAC they were attached under, nil where
+// no port is attached); each port has an independent ingress
+// (host->switch) and egress (switch->host) serialization resource, which
+// is how both directions of a full-duplex link and cross-traffic
+// contention are modelled.
 type Switch struct {
 	eng   *sim.Engine
 	link  params.Link
 	rng   *sim.RNG
 	topo  Topology
 	qcap  int
-	ports map[wire.MAC]*port
+	ports []*port
 	fault *Fault
 
 	// In-flight deliveries (and, in the output-queued model, pending
@@ -303,7 +309,7 @@ type port struct {
 // NewSwitch creates a switch with the given link characteristics and the
 // default direct topology.
 func NewSwitch(eng *sim.Engine, link params.Link, rng *sim.RNG) *Switch {
-	s := &Switch{eng: eng, link: link, rng: rng, ports: make(map[wire.MAC]*port), qcap: Topology{}.queueCap()}
+	s := &Switch{eng: eng, link: link, rng: rng, qcap: Topology{}.queueCap()}
 	s.deliverFn = func(x any) { s.deliverNow(x.(*delivery)) }
 	s.enqueueFn = func(x any) { s.enqueueNow(x.(*delivery)) }
 	return s
@@ -323,18 +329,26 @@ func (s *Switch) SetTopology(t Topology) {
 // SetFault installs (or clears, with nil) the fault-injection plan.
 func (s *Switch) SetFault(f *Fault) { s.fault = f }
 
-// Attach registers a receiver under its MAC address. The port starts on
-// the switch's own engine (shard 0); BindPort reassigns it. Its RNG stream
-// and pri base are derived from the MAC alone — Derive does not consume
-// the parent stream — so attaching ports perturbs neither the frozen
-// direct-path draw order nor any sibling port's stream.
+// Attach registers a receiver as the port of the node whose MAC is mac.
+// mac must be wire.NodeMAC(i) for some node i, which names slot i of the
+// switch; any other address panics, so no MAC can alias a node's port. The
+// port starts on the switch's own engine (shard 0); BindPort reassigns it.
+// Its RNG stream and pri base are derived from the node alone — Derive
+// does not consume the parent stream — so attaching ports perturbs neither
+// the frozen direct-path draw order nor any sibling port's stream.
 func (s *Switch) Attach(mac wire.MAC, rx Receiver) {
-	if _, dup := s.ports[mac]; dup {
+	node := mac.NodeIndex()
+	if mac != wire.NodeMAC(node) {
+		panic(fmt.Sprintf("fabric: port MAC %s is not a node MAC (want %s for node %d)", mac, wire.NodeMAC(node), node))
+	}
+	if node < len(s.ports) && s.ports[node] != nil {
 		panic(fmt.Sprintf("fabric: duplicate port %s", mac))
 	}
-	node := mac.NodeIndex()
+	if node >= len(s.ports) {
+		s.ports = append(s.ports, make([]*port, node+1-len(s.ports))...)
+	}
 	idx := uint64(node)
-	s.ports[mac] = &port{
+	s.ports[node] = &port{
 		mac:     mac,
 		rx:      rx,
 		node:    node,
@@ -358,10 +372,7 @@ func (s *Switch) SetShardCount(n int) {
 // the port's state will be scheduled on eng; sends from a port on one shard
 // to a port on another go through the outbox/FlushShards path.
 func (s *Switch) BindPort(mac wire.MAC, shard int, eng *sim.Engine) {
-	p, ok := s.ports[mac]
-	if !ok {
-		panic(fmt.Sprintf("fabric: unknown port %s", mac))
-	}
+	p := s.mustPort(mac)
 	if s.outbox == nil || shard < 0 || shard >= len(s.outbox) {
 		panic(fmt.Sprintf("fabric: shard %d out of range (SetShardCount first)", shard))
 	}
@@ -407,34 +418,44 @@ func (s *Switch) Lookahead() sim.Time {
 	return s.link.PropagationDelay + s.link.SwitchLatency
 }
 
-// PortStats returns a snapshot of the per-port counters for mac.
-func (s *Switch) PortStats(mac wire.MAC) PortStats {
-	p, ok := s.ports[mac]
-	if !ok {
+// portOf returns the port attached under mac, or nil if there is none. A
+// MAC that only shares a node MAC's node bytes finds no port.
+func (s *Switch) portOf(mac wire.MAC) *port {
+	if i := mac.NodeIndex(); i < len(s.ports) {
+		if p := s.ports[i]; p != nil && p.mac == mac {
+			return p
+		}
+	}
+	return nil
+}
+
+// mustPort is portOf for the configuration and statistics calls, where an
+// unknown port is a caller bug.
+func (s *Switch) mustPort(mac wire.MAC) *port {
+	p := s.portOf(mac)
+	if p == nil {
 		panic(fmt.Sprintf("fabric: unknown port %s", mac))
 	}
-	return p.stats
+	return p
+}
+
+// PortStats returns a snapshot of the per-port counters for mac.
+func (s *Switch) PortStats(mac wire.MAC) PortStats {
+	return s.mustPort(mac).stats
 }
 
 // BindTrace attaches a telemetry handle to mac's port: egress-queue drops
 // on that port are then emitted to the handle's timeline. The handle must
 // belong to the same node (shard) as the port.
 func (s *Switch) BindTrace(mac wire.MAC, h *trace.Node) {
-	p, ok := s.ports[mac]
-	if !ok {
-		panic(fmt.Sprintf("fabric: unknown port %s", mac))
-	}
-	p.tr = h
+	s.mustPort(mac).tr = h
 }
 
 // QueueLen returns the current egress-queue depth of mac's port: the
 // admitted frames whose transmission starts after now (always 0 in the
 // direct model).
 func (s *Switch) QueueLen(mac wire.MAC) int {
-	p, ok := s.ports[mac]
-	if !ok {
-		panic(fmt.Sprintf("fabric: unknown port %s", mac))
-	}
+	p := s.mustPort(mac)
 	now, i := p.eng.Now(), 0
 	for i < p.starts.Len() && p.starts.At(i) <= now {
 		i++
@@ -447,13 +468,15 @@ func (s *Switch) QueueLen(mac wire.MAC) int {
 // the destination port's egress resource: an ideal serializer in the direct
 // model, a bounded drop-tail queue in the output-queued model. Send takes
 // over the caller's frame reference (see the package comment).
+//
+//omxlint:hotpath
 func (s *Switch) Send(f *wire.Frame) {
-	src, ok := s.ports[f.Src]
-	if !ok {
+	src := s.portOf(f.Src)
+	if src == nil {
 		panic(fmt.Sprintf("fabric: unknown source %s", f.Src))
 	}
-	dst, ok := s.ports[f.Dst]
-	if !ok {
+	dst := s.portOf(f.Dst)
+	if dst == nil {
 		panic(fmt.Sprintf("fabric: unknown destination %s", f.Dst))
 	}
 	if s.topo.Kind == TopologyOutputQueued {
@@ -646,9 +669,10 @@ func (s *Switch) deliverNow(d *delivery) {
 // only while no engine is running.
 func (s *Switch) FramesDelivered() uint64 {
 	var n uint64
-	//omxlint:allow maprange: integer sums are order-independent
 	for _, p := range s.ports {
-		n += p.stats.FramesDelivered
+		if p != nil {
+			n += p.stats.FramesDelivered
+		}
 	}
 	return n
 }
@@ -657,9 +681,10 @@ func (s *Switch) FramesDelivered() uint64 {
 // drop-tail rejections, summed over ports.
 func (s *Switch) FramesDropped() uint64 {
 	var n uint64
-	//omxlint:allow maprange: integer sums are order-independent
 	for _, p := range s.ports {
-		n += p.faultDrops + p.stats.Drops
+		if p != nil {
+			n += p.faultDrops + p.stats.Drops
+		}
 	}
 	return n
 }

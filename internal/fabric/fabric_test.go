@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"strings"
 	"testing"
 
 	"openmxsim/internal/params"
@@ -207,6 +208,23 @@ func TestDuplicateAttachPanics(t *testing.T) {
 		}
 	}()
 	sw.Attach(wire.NodeMAC(0), &sink{eng: eng})
+}
+
+// TestAttachRejectsForeignMAC checks that a MAC sharing node 1's node bytes
+// but not its prefix cannot take node 1's port slot.
+func TestAttachRejectsForeignMAC(t *testing.T) {
+	eng := sim.NewEngine()
+	sw := NewSwitch(eng, testLink(), sim.NewRNG(1))
+	foreign := wire.NodeMAC(1)
+	foreign[0] = 0x06
+	defer func() {
+		r := recover()
+		msg, _ := r.(string)
+		if !strings.Contains(msg, foreign.String()) {
+			t.Errorf("Attach(%s) panicked with %v, want a message naming the MAC", foreign, r)
+		}
+	}()
+	sw.Attach(foreign, &sink{eng: eng})
 }
 
 func TestJitterPerturbsArrivals(t *testing.T) {

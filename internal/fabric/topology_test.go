@@ -307,7 +307,7 @@ func TestQueuedPortMatchesReference(t *testing.T) {
 		sw.SetTopology(Topology{Kind: TopologyOutputQueued, EgressQueueFrames: qcap})
 		out := &sink{eng: eng}
 		sw.Attach(mac, out)
-		p := sw.ports[mac]
+		p := sw.ports[mac.NodeIndex()]
 
 		reng := sim.NewEngine()
 		ref := &refPort{

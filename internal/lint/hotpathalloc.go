@@ -15,6 +15,11 @@ import (
 // want 0" with no location; this analyzer names the file:line that
 // allocates before the benchmark ever runs.
 //
+// Map index, assignment and delete are reported too: they allocate
+// nothing in steady state, but each one hashes its key, which on a
+// per-frame path costs more than indexing a slice by a small integer the
+// model already has (a node index, an endpoint id, a block number).
+//
 // The check is intentionally conservative (escape analysis may prove some
 // flagged constructs stack-allocatable); a construct the benchmarks show
 // to be free can carry an //omxlint:allow hotpathalloc directive citing
@@ -23,8 +28,8 @@ import (
 var HotPathAlloc = &analysis.Analyzer{
 	Name: "hotpathalloc",
 	Doc: "flags allocation-inducing constructs (closures, fmt, make/new/append, " +
-		"composite literals, string building, interface boxing) in functions " +
-		"annotated //omxlint:hotpath",
+		"composite literals, string building, interface boxing) and map lookups " +
+		"in functions annotated //omxlint:hotpath",
 	Run: runHotPathAlloc,
 }
 
@@ -72,6 +77,13 @@ func checkHotPath(pass *analysis.Pass, fn *ast.FuncDecl) {
 						"take values from a free list", name)
 				}
 			}
+		case *ast.IndexExpr:
+			if t := pass.TypesInfo.TypeOf(n.X); t != nil {
+				if _, ok := t.Underlying().(*types.Map); ok {
+					pass.Reportf(n.Pos(), "map index in hot path %s hashes the key on every call; "+
+						"index a slice by a small integer instead", name)
+				}
+			}
 		case *ast.BinaryExpr:
 			if n.Op == token.ADD {
 				if t := pass.TypesInfo.TypeOf(n); t != nil && isString(t) {
@@ -109,6 +121,9 @@ func checkHotPathCall(pass *analysis.Pass, name string, call *ast.CallExpr) bool
 			case "append":
 				pass.Reportf(call.Pos(), "append in hot path %s may grow and allocate; preallocate capacity "+
 					"or justify with //omxlint:allow hotpathalloc citing the AllocsPerRun guard", name)
+			case "delete":
+				pass.Reportf(call.Pos(), "map delete in hot path %s hashes the key on every call; "+
+					"index a slice by a small integer instead", name)
 			case "panic":
 				// A panicking path is cold by definition: do not descend
 				// into the argument (typically a fmt.Sprintf).

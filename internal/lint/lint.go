@@ -16,7 +16,8 @@
 //     pool, the cluster watchdog).
 //   - hotpathalloc: functions annotated //omxlint:hotpath must avoid
 //     allocation-inducing constructs, turning the AllocsPerRun guards
-//     into compile-time findings.
+//     into compile-time findings, and map lookups, which hash the key on
+//     every call.
 //
 // Escape hatches are explicit and audited: see directives.go for the
 // //omxlint:allow vocabulary. The driver counts every suppression and

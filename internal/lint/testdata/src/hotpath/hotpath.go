@@ -31,8 +31,9 @@ func build(name string, raw []byte) string {
 	go func() {}()         // want `go statement in hot path build` `closure literal in hot path build`
 	s := string(raw)       // want `conversion \[\]byte -> string in hot path build`
 	m := map[string]bool{} // want `map literal in hot path build`
+	m[name] = m[s]         // want `map index in hot path build hashes the key on every call` `map index in hot path build hashes the key on every call`
+	delete(m, s)           // want `map delete in hot path build hashes the key on every call`
 	e := &event{}          // want `address of composite literal in hot path build`
-	_ = m
 	_ = e
 	return name + s // want `string concatenation in hot path build`
 }

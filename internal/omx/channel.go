@@ -59,6 +59,13 @@ type channel struct {
 	mediumActive  int
 	mediumPending sim.Queue[*sendOp]
 
+	// Messages from the remote endpoint still in progress here, found by
+	// message id: the mediums the library is reassembling and the large
+	// messages being pulled. A channel has only a few open at once, so a
+	// scan is cheaper than hashing.
+	reasm []*mediumReasm
+	pulls []*pullState
+
 	// Timer callbacks, bound once at construction.
 	resendFn    func()
 	kernelAckFn func()
@@ -326,12 +333,29 @@ func (c *channel) onAck(cum uint32) {
 
 // acceptSeq deduplicates and advances the cumulative receive pointer.
 // Returns false for duplicates (which are re-acked but not reprocessed).
+// The next expected sequence with nothing buffered beyond it, the case of
+// every packet on a clean link, never touches the out-of-order set.
+//
+//omxlint:hotpath
 func (c *channel) acceptSeq(seq uint32) bool {
-	if int32(seq-c.recvNext) < 0 {
+	switch d := int32(seq - c.recvNext); {
+	case d < 0:
 		c.stack().Stats.Duplicates++
 		c.sendAckNow() // immediate re-ack resynchronizes the sender
 		return false
+	case d == 0 && len(c.recvSeen) == 0:
+		c.recvNext++
+	case !c.acceptOutOfOrder(seq):
+		return false
 	}
+	c.armKernelAck()
+	return true
+}
+
+// acceptOutOfOrder is acceptSeq after loss or reordering: seq is at or
+// beyond recvNext and the out-of-order set decides whether it is new.
+// recvNext then advances over every buffered sequence it makes contiguous.
+func (c *channel) acceptOutOfOrder(seq uint32) bool {
 	if _, dup := c.recvSeen[seq]; dup {
 		c.stack().Stats.Duplicates++
 		c.sendAckNow()
@@ -345,8 +369,33 @@ func (c *channel) acceptSeq(seq uint32) bool {
 		delete(c.recvSeen, c.recvNext)
 		c.recvNext++
 	}
-	c.armKernelAck()
 	return true
+}
+
+// reasmFor returns the reassembly of medium message id, or nil.
+func (c *channel) reasmFor(id uint32) *mediumReasm {
+	for _, r := range c.reasm {
+		if r.msgID == id {
+			return r
+		}
+	}
+	return nil
+}
+
+// pullFor returns the pull of large message id, or nil.
+func (c *channel) pullFor(id uint32) *pullState {
+	for _, ps := range c.pulls {
+		if ps.msgID == id {
+			return ps
+		}
+	}
+	return nil
+}
+
+// deleteElem removes x from s, keeping the order of the rest.
+func deleteElem[T comparable](s []T, x T) []T {
+	i := slices.Index(s, x)
+	return slices.Delete(s, i, i+1)
 }
 
 // armKernelAck schedules the driver-side ack backstop: when the event ring

@@ -146,7 +146,10 @@ type Endpoint struct {
 	// stack's and never consumed on clean (retry-free) runs.
 	rng *sim.RNG
 
-	channels  map[Addr]*channel
+	// channels holds the channel to each remote endpoint, indexed by the
+	// remote node (wire.MAC.NodeIndex) and then its endpoint id; nil where
+	// none is open yet.
+	channels  [][]*channel
 	nextMsgID uint32
 
 	// Event ring from driver to library.
@@ -158,12 +161,9 @@ type Endpoint struct {
 	posted     sim.Queue[*RecvHandle]
 	unexpected sim.Queue[*unexpMsg]
 
-	// Library-level medium reassembly, keyed by (source, message id).
-	reasm map[pullKey]*mediumReasm
-
-	// Large-message state.
-	pulls   map[pullKey]*pullState // receiver side
-	pullSrc map[uint32]*largeSend  // sender side
+	// Sender-side large-message state. The receiver-side state, medium
+	// reassemblies and pulls, sits on the channel it arrives on.
+	pullSrc map[uint32]*largeSend
 
 	// Free lists and once-bound callbacks for the hot paths.
 	evFree        []*event
@@ -175,6 +175,7 @@ type Endpoint struct {
 	mediumFn      func(any)
 	largeFn       func(any)
 	shmFn         func(any)
+	pullRetryFn   func(any)
 }
 
 func newEndpoint(s *Stack, id uint8, core *host.Core) *Endpoint {
@@ -183,10 +184,7 @@ func newEndpoint(s *Stack, id uint8, core *host.Core) *Endpoint {
 		ID:         id,
 		core:       core,
 		rng:        s.rng.Derive(0xE9D0<<40 | uint64(id)),
-		channels:   make(map[Addr]*channel),
 		lastWriter: -1,
-		reasm:      make(map[pullKey]*mediumReasm),
-		pulls:      make(map[pullKey]*pullState),
 		pullSrc:    make(map[uint32]*largeSend),
 	}
 	e.applyFn = func(x any) {
@@ -201,6 +199,7 @@ func newEndpoint(s *Stack, id uint8, core *host.Core) *Endpoint {
 	e.mediumFn = func(x any) { e.mediumPost(x.(*sendOp)) }
 	e.largeFn = func(x any) { e.largePost(x.(*sendOp)) }
 	e.shmFn = func(x any) { e.shmPost(x.(*sendOp)) }
+	e.pullRetryFn = func(x any) { e.pullRetry(x.(*pullBlock)) }
 	return e
 }
 
@@ -240,12 +239,36 @@ func (e *Endpoint) Addr() Addr { return Addr{MAC: e.stack.MAC(), EP: e.ID} }
 // Core returns the core the owning rank is pinned to.
 func (e *Endpoint) Core() *host.Core { return e.core }
 
+// channelFor returns the channel to a, opening it on first use.
+//
+//omxlint:hotpath
 func (e *Endpoint) channelFor(a Addr) *channel {
-	c, ok := e.channels[a]
-	if !ok {
-		c = newChannel(e, a)
-		e.channels[a] = c
+	if n := a.MAC.NodeIndex(); n < len(e.channels) {
+		if row := e.channels[n]; int(a.EP) < len(row) && row[a.EP] != nil {
+			return row[a.EP]
+		}
 	}
+	return e.openChannel(a)
+}
+
+// openChannel is channelFor's cold path: it grows the channel table to
+// hold a and creates the channel. a must be a node address: its node index
+// is its row, so any other MAC would alias a node's channels.
+func (e *Endpoint) openChannel(a Addr) *channel {
+	n := a.MAC.NodeIndex()
+	if a.MAC != wire.NodeMAC(n) {
+		panic(fmt.Sprintf("omx: %s is not a node address", a))
+	}
+	if n >= len(e.channels) {
+		e.channels = append(e.channels, make([][]*channel, n+1-len(e.channels))...)
+	}
+	row := e.channels[n]
+	if int(a.EP) >= len(row) {
+		row = append(row, make([]*channel, int(a.EP)+1-len(row))...)
+		e.channels[n] = row
+	}
+	c := newChannel(e, a)
+	row[a.EP] = c
 	return c
 }
 
@@ -577,7 +600,7 @@ func (e *Endpoint) popOne() {
 		if ev.data == nil {
 			cost += p.Lib.CopyTime(fragLenFor(e, ev))
 		}
-		if r, ok := e.reasm[pullKey{src: ev.src, msgID: ev.msgID}]; ok {
+		if r := ev.ch.reasmFor(ev.msgID); r != nil {
 			if r.received+1 == r.frags {
 				cost += p.Lib.Match + p.Lib.PerMessage
 			}
@@ -674,9 +697,9 @@ func fragLenFor(e *Endpoint, ev *event) int {
 // applyMediumFrag reassembles one medium fragment in the library and
 // delivers the message when complete.
 func (e *Endpoint) applyMediumFrag(ev *event) {
-	key := pullKey{src: ev.src, msgID: ev.msgID}
-	r, ok := e.reasm[key]
-	if !ok {
+	c := ev.ch
+	r := c.reasmFor(ev.msgID)
+	if r == nil {
 		r = &mediumReasm{
 			msgID: ev.msgID, match: ev.match, total: ev.size,
 			frags: ev.fragCount, seen: make([]bool, ev.fragCount),
@@ -685,7 +708,7 @@ func (e *Endpoint) applyMediumFrag(ev *event) {
 		if ev.data != nil {
 			r.data = make([]byte, r.total)
 		}
-		e.reasm[key] = r
+		c.reasm = append(c.reasm, r)
 	}
 	if ev.fragIdx >= r.frags || r.seen[ev.fragIdx] {
 		return // stray or duplicate fragment
@@ -699,7 +722,7 @@ func (e *Endpoint) applyMediumFrag(ev *event) {
 	if r.received != r.frags {
 		return
 	}
-	delete(e.reasm, key)
+	c.reasm = deleteElem(c.reasm, r)
 	e.stack.Stats.MediumRecvd++
 	if rh := e.takeMatch(r.match); rh != nil {
 		deliverEager(rh, r.src, r.match, r.data, r.total)

@@ -1,6 +1,7 @@
 package omx
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -9,48 +10,54 @@ import (
 
 // Property: the sequence-acceptance machinery delivers each sequence number
 // exactly once and advances recvNext to the contiguous frontier, for any
-// arrival order with duplicates.
+// arrival order with duplicates. Runs start at sequence 0 and just below
+// 2^32, so both the in-order fast path and the out-of-order set are checked
+// across the wrap of the sequence space.
 func TestAcceptSeqProperty(t *testing.T) {
-	f := func(perm []uint8, dups []uint8) bool {
-		r := defaultRig(t)
-		c := newChannel(r.a, r.b.Addr())
-		n := len(perm)
-		if n == 0 {
-			return true
-		}
-		// Build an arrival order: a permutation of 0..n-1 plus duplicates.
-		order := make([]uint32, 0, n+len(dups))
-		for _, p := range perm {
-			order = append(order, uint32(int(p)%n))
-		}
-		for _, d := range dups {
-			order = append(order, uint32(int(d)%n))
-		}
-		accepted := map[uint32]int{}
-		for _, seq := range order {
-			if c.acceptSeq(seq) {
-				accepted[seq]++
+	for _, base := range []uint32{0, math.MaxUint32 - 2} {
+		f := func(perm []uint8, dups []uint8) bool {
+			r := defaultRig(t)
+			c := newChannel(r.a, r.b.Addr())
+			c.recvNext, c.consumedTo, c.ackedTo = base, base, base
+			n := len(perm)
+			if n == 0 {
+				return true
 			}
-		}
-		for seq, cnt := range accepted {
-			if cnt != 1 {
-				t.Logf("seq %d accepted %d times", seq, cnt)
-				return false
+			// Build an arrival order: offsets 0..n-1 from base plus
+			// duplicates.
+			order := make([]uint32, 0, n+len(dups))
+			for _, p := range perm {
+				order = append(order, base+uint32(int(p)%n))
 			}
+			for _, d := range dups {
+				order = append(order, base+uint32(int(d)%n))
+			}
+			accepted := map[uint32]int{}
+			for _, seq := range order {
+				if c.acceptSeq(seq) {
+					accepted[seq]++
+				}
+			}
+			for seq, cnt := range accepted {
+				if cnt != 1 {
+					t.Logf("base %d: seq %d accepted %d times", base, seq, cnt)
+					return false
+				}
+			}
+			// recvNext must be the first never-presented sequence.
+			present := map[uint32]bool{}
+			for _, s := range order {
+				present[s] = true
+			}
+			want := base
+			for present[want] {
+				want++
+			}
+			return c.recvNext == want
 		}
-		// recvNext must be the first never-presented sequence.
-		present := map[uint32]bool{}
-		for _, s := range order {
-			present[s] = true
+		if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+			t.Errorf("base %d: %v", base, err)
 		}
-		want := uint32(0)
-		for present[want] {
-			want++
-		}
-		return c.recvNext == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
 	}
 }
 

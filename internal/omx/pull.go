@@ -24,40 +24,47 @@ type largeSend struct {
 	dst    Addr
 }
 
-type pullKey struct {
-	src   Addr
-	msgID uint32
-}
-
-// pullState is the receiver-side progress of one large transfer.
+// pullState is the receiver-side progress of one large transfer. It is
+// listed on ch, the channel its rendezvous arrived on, until it finishes.
 type pullState struct {
 	ep        *Endpoint
+	ch        *channel
 	src       Addr
 	msgID     uint32
 	total     int
 	match     uint64
 	rh        *RecvHandle
 	frags     int
-	blocks    int
 	nextBlock int
 	received  int
 	seen      []bool
-	perBlock  []int
-	timers    map[int]*sim.Event
-	// tries counts consecutive retries per block (reset whenever a
-	// fragment of the block arrives); it drives the backed-off retry
-	// delay and the MaxResends give-up.
-	tries []int
-	done  bool
+	blocks    []pullBlock
+	done      bool
 }
 
-func (ps *pullState) blockSize(b int) int {
+// pullBlock is the progress of one block of a pull. The records are made
+// once, in startPull, and a block's record is the argument of its retry
+// timer, so arming the timer allocates nothing. A pull holds one record per
+// block for as long as it runs, so the counters are int32: that keeps a
+// record at 32 bytes.
+type pullBlock struct {
+	ps    *pullState
+	idx   int
+	timer *sim.Event // the pending retry, nil when none
+	got   int32      // fragments of the block received
+	// tries counts consecutive retries (reset whenever a fragment of the
+	// block arrives); it drives the backed-off retry delay and the
+	// MaxResends give-up.
+	tries int32
+}
+
+func (ps *pullState) blockSize(b int) int32 {
 	per := ps.ep.stack.p.Proto.PullBlockFrags
 	n := ps.frags - b*per
 	if n > per {
 		n = per
 	}
-	return n
+	return int32(n)
 }
 
 // startPull begins pulling a matched rendezvous. Runs in user context (the
@@ -73,7 +80,7 @@ func (e *Endpoint) startPull(src Addr, msgID uint32, total int, match uint64, rh
 	if frags > 0xFFFF {
 		panic(fmt.Sprintf("omx: %d-byte message needs %d pull fragments (wire limit 65535)", total, frags))
 	}
-	blocks := (frags + p.Proto.PullBlockFrags - 1) / p.Proto.PullBlockFrags
+	nblocks := (frags + p.Proto.PullBlockFrags - 1) / p.Proto.PullBlockFrags
 
 	rh.Src = src
 	rh.MatchV = match
@@ -82,33 +89,33 @@ func (e *Endpoint) startPull(src Addr, msgID uint32, total int, match uint64, rh
 		rh.Len = rh.Cap
 	}
 
+	ch := e.channelFor(src)
 	ps := &pullState{
-		ep: e, src: src, msgID: msgID, total: total, match: match, rh: rh,
-		frags: frags, blocks: blocks,
-		seen:     make([]bool, frags),
-		perBlock: make([]int, blocks),
-		timers:   make(map[int]*sim.Event),
-		tries:    make([]int, blocks),
+		ep: e, ch: ch, src: src, msgID: msgID, total: total, match: match, rh: rh,
+		frags:  frags,
+		seen:   make([]bool, frags),
+		blocks: make([]pullBlock, nblocks),
 	}
-	e.pulls[pullKey{src: src, msgID: msgID}] = ps
+	for b := range ps.blocks {
+		ps.blocks[b] = pullBlock{ps: ps, idx: b}
+	}
+	ch.pulls = append(ch.pulls, ps)
 
-	first := p.Proto.PullParallel
-	if first > blocks {
-		first = blocks
-	}
+	first := min(p.Proto.PullParallel, nblocks)
 	for b := 0; b < first; b++ {
-		e.issuePullRequest(ps, b)
+		e.issuePullRequest(&ps.blocks[b])
 	}
 	ps.nextBlock = first
 }
 
 // issuePullRequest sends the request for one block and arms its retry timer.
-func (e *Endpoint) issuePullRequest(ps *pullState, block int) {
+func (e *Endpoint) issuePullRequest(b *pullBlock) {
 	p := e.stack.p
+	ps := b.ps
 	hd := wire.Header{
 		Type: wire.TypePullRequest, SrcEP: e.ID, DstEP: ps.src.EP,
 		MsgID: ps.msgID, Aux: uint32(ps.total),
-		FragIndex: uint16(block), FragCount: uint16(ps.blockSize(block)),
+		FragIndex: uint16(b.idx), FragCount: uint16(ps.blockSize(b.idx)),
 	}
 	if e.stack.Mark.PullRequest {
 		hd.Flags |= wire.FlagLatencySensitive
@@ -116,27 +123,46 @@ func (e *Endpoint) issuePullRequest(ps *pullState, block int) {
 	e.stack.Stats.PullRequestsSent++
 	e.stack.sendFrame(e.stack.newFrame(e.stack.MAC(), ps.src.MAC, hd, nil, 0))
 
-	if t, ok := ps.timers[block]; ok {
-		t.Cancel()
+	if b.timer != nil {
+		b.timer.Cancel()
 	}
 	d := p.Proto.ResendTimeout
-	if ps.tries[block] > 0 {
-		d = backoffDelay(&p.Proto, e.rng, ps.tries[block])
+	if b.tries > 0 {
+		d = backoffDelay(&p.Proto, e.rng, int(b.tries))
 		e.stack.Stats.Backoffs++
 	}
-	ps.timers[block] = e.stack.eng.After(d, func() {
-		delete(ps.timers, block)
-		if ps.done || ps.perBlock[block] == ps.blockSize(block) {
-			return
+	b.timer = e.stack.eng.AfterArg(d, e.pullRetryFn, b)
+}
+
+// pullRetry runs when block b's retry timer expires: an incomplete block
+// is requested again, or the pull is given up once the block has used
+// its MaxResends retries.
+func (e *Endpoint) pullRetry(b *pullBlock) {
+	b.timer = nil
+	ps := b.ps
+	if ps.done || b.got == ps.blockSize(b.idx) {
+		return
+	}
+	if mr := e.stack.p.Proto.MaxResends; mr > 0 && int(b.tries) >= mr {
+		e.giveUpPull(ps)
+		return
+	}
+	b.tries++
+	e.stack.Stats.PullBlockRetries++
+	e.issuePullRequest(b)
+}
+
+// finish ends the pull: every block's retry timer is cancelled and the
+// pull leaves its channel, so later replies find no transfer.
+func (ps *pullState) finish() {
+	ps.done = true
+	for i := range ps.blocks {
+		if b := &ps.blocks[i]; b.timer != nil {
+			b.timer.Cancel()
+			b.timer = nil
 		}
-		if mr := p.Proto.MaxResends; mr > 0 && ps.tries[block] >= mr {
-			e.giveUpPull(ps)
-			return
-		}
-		ps.tries[block]++
-		e.stack.Stats.PullBlockRetries++
-		e.issuePullRequest(ps, block)
-	})
+	}
+	ps.ch.pulls = deleteElem(ps.ch.pulls, ps)
 }
 
 // giveUpPull abandons a pull whose block retries exhausted the budget: all
@@ -146,13 +172,7 @@ func (e *Endpoint) giveUpPull(ps *pullState) {
 	if ps.done {
 		return
 	}
-	ps.done = true
-	//omxlint:allow maprange: timer cancellation is idempotent and per-timer; order cannot matter
-	for _, t := range ps.timers {
-		t.Cancel()
-	}
-	ps.timers = nil
-	delete(e.pulls, pullKey{src: ps.src, msgID: ps.msgID})
+	ps.finish()
 	e.stack.Stats.GiveUps++
 	e.stack.tr.Event(e.stack.eng.Now(), trace.EvGiveUp, int64(e.stack.Stats.GiveUps))
 	ps.rh.fail(ErrGiveUp)
@@ -211,6 +231,8 @@ func (e *Endpoint) handlePullRequest(f *wire.Frame) {
 }
 
 // handlePullReply runs on the puller for each arriving fragment.
+//
+//omxlint:hotpath
 func (e *Endpoint) handlePullReply(ps *pullState, f *wire.Frame, core *host.Core) {
 	if ps == nil || ps.done {
 		return
@@ -223,10 +245,9 @@ func (e *Endpoint) handlePullReply(ps *pullState, f *wire.Frame, core *host.Core
 	}
 	ps.seen[frag] = true
 	ps.received++
-	p := e.stack.p
-	b := frag / p.Proto.PullBlockFrags
-	ps.perBlock[b]++
-	ps.tries[b] = 0 // block progress: the path works, backoff resets
+	b := &ps.blocks[frag/e.stack.p.Proto.PullBlockFrags]
+	b.got++
+	b.tries = 0 // block progress: the path works, backoff resets
 
 	// Deposit the fragment into the user buffer (kernel copy, cost already
 	// charged by the rx dispatch).
@@ -237,26 +258,20 @@ func (e *Endpoint) handlePullReply(ps *pullState, f *wire.Frame, core *host.Core
 		}
 	}
 
-	if ps.perBlock[b] == ps.blockSize(b) {
-		if t, ok := ps.timers[b]; ok {
-			t.Cancel()
-			delete(ps.timers, b)
+	if b.got == ps.blockSize(b.idx) {
+		if b.timer != nil {
+			b.timer.Cancel()
+			b.timer = nil
 		}
-		if ps.nextBlock < ps.blocks {
+		if ps.nextBlock < len(ps.blocks) {
 			// Pipeline the next request straight from the handler.
-			e.issuePullRequest(ps, ps.nextBlock)
+			e.issuePullRequest(&ps.blocks[ps.nextBlock])
 			ps.nextBlock++
 		}
 	}
 
 	if ps.received == ps.frags {
-		ps.done = true
-		//omxlint:allow maprange: timer cancellation is idempotent and per-timer; order cannot matter
-		for _, t := range ps.timers {
-			t.Cancel()
-		}
-		ps.timers = nil
-		delete(e.pulls, pullKey{src: ps.src, msgID: ps.msgID})
+		ps.finish()
 		e.stack.Stats.LargeRecvd++
 
 		// Notify the sender (sequenced, marked per policy).
@@ -267,7 +282,7 @@ func (e *Endpoint) handlePullReply(ps *pullState, f *wire.Frame, core *host.Core
 		if e.stack.Mark.Notify {
 			nh.Flags |= wire.FlagLatencySensitive
 		}
-		e.channelFor(ps.src).send(e.stack.newFrame(e.stack.MAC(), ps.src.MAC, nh, nil, 0), nil, nil)
+		ps.ch.send(e.stack.newFrame(e.stack.MAC(), ps.src.MAC, nh, nil, 0), nil, nil)
 
 		// Tell the application.
 		ev := e.getEvent()

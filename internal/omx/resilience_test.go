@@ -104,3 +104,32 @@ func TestBackoffResetsOnProgress(t *testing.T) {
 		t.Error("transfer gave up despite making progress")
 	}
 }
+
+// TestPullRequestAllocsNothing: a steady-state block request, the request
+// frame and the block's retry timer, allocates nothing. The retry callback
+// is bound once per endpoint and takes the block's record, made when the
+// pull started, as its argument.
+func TestPullRequestAllocsNothing(t *testing.T) {
+	r := defaultRig(t)
+	// b never announced message 7, so it drops each request as stale and
+	// the pull stays open.
+	r.a.startPull(r.b.Addr(), 7, 1<<20, 0, &RecvHandle{Cap: 1 << 20})
+	ps := r.a.channelFor(r.b.Addr()).pullFor(7)
+	if ps == nil {
+		t.Fatal("startPull left no pull on the channel")
+	}
+	request := func() {
+		r.a.issuePullRequest(&ps.blocks[0])
+		r.eng.RunUntil(r.eng.Now() + 500*sim.Microsecond)
+	}
+	for i := 0; i < 64; i++ { // warm every free list on the path
+		request()
+	}
+	sent := r.stackA.Stats.PullRequestsSent
+	if got := testing.AllocsPerRun(200, request); got != 0 {
+		t.Fatalf("a block request allocates %v objects in steady state, want 0", got)
+	}
+	if got := r.stackA.Stats.PullRequestsSent - sent; got < 200 {
+		t.Fatalf("sent %d pull requests during the measurement, want >= 200", got)
+	}
+}

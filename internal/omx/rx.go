@@ -46,13 +46,12 @@ func (e *Endpoint) rxCost(f *wire.Frame, cold bool) (sim.Time, *pullState) {
 		return base + p.Driver.RxPull + sim.Time(h.FragCount)*p.Driver.TxPacket, nil
 
 	case wire.TypePullReply:
-		src := Addr{MAC: f.Src, EP: h.SrcEP}
-		ps := e.pulls[pullKey{src: src, msgID: h.MsgID}]
+		ps := e.channelFor(Addr{MAC: f.Src, EP: h.SrcEP}).pullFor(h.MsgID)
 		cost := base + p.Driver.RxPull + e.stack.pullCopyTime(f.PayloadLen, cold)
 		frag := int(h.FragIndex)
 		if ps != nil && !ps.done && frag < ps.frags && !ps.seen[frag] {
-			b := frag / p.Proto.PullBlockFrags
-			if ps.perBlock[b]+1 == ps.blockSize(b) && ps.nextBlock < ps.blocks {
+			b := &ps.blocks[frag/p.Proto.PullBlockFrags]
+			if b.got+1 == ps.blockSize(b.idx) && ps.nextBlock < len(ps.blocks) {
 				cost += p.Driver.PullRequestCost + p.Driver.TxPacket
 			}
 			if ps.received+1 == ps.frags {

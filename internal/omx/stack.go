@@ -91,7 +91,9 @@ type Stack struct {
 	rng  *sim.RNG
 	Mark MarkPolicy
 
-	endpoints map[uint8]*Endpoint
+	// endpoints holds the open endpoints, indexed by id (nil where none
+	// is open); Open grows it.
+	endpoints []*Endpoint
 	// lastRxCore tracks which core last ran the receive handler; a change
 	// costs a cache-line bounce on the shared descriptors (Section III-B).
 	lastRxCore int
@@ -140,7 +142,6 @@ func NewStack(eng *sim.Engine, p *params.Params, hst *host.Host, n *nic.NIC, rng
 	s := &Stack{
 		eng: eng, p: p, hst: hst, nic: n, rng: rng,
 		Mark:       DefaultMarkPolicy(),
-		endpoints:  make(map[uint8]*Endpoint),
 		lastRxCore: -1,
 		pool:       wire.NewPool(),
 	}
@@ -247,12 +248,23 @@ func (s *Stack) MAC() wire.MAC { return s.nic.MAC() }
 // Open creates an endpoint with the given id, serviced by the rank pinned
 // to core.
 func (s *Stack) Open(id uint8, core *host.Core) *Endpoint {
-	if _, dup := s.endpoints[id]; dup {
+	if s.endpoint(id) != nil {
 		panic(fmt.Sprintf("omx: endpoint %d already open", id))
+	}
+	if int(id) >= len(s.endpoints) {
+		s.endpoints = append(s.endpoints, make([]*Endpoint, int(id)+1-len(s.endpoints))...)
 	}
 	e := newEndpoint(s, id, core)
 	s.endpoints[id] = e
 	return e
+}
+
+// endpoint returns the open endpoint with the given id, or nil.
+func (s *Stack) endpoint(id uint8) *Endpoint {
+	if int(id) < len(s.endpoints) {
+		return s.endpoints[id]
+	}
+	return nil
 }
 
 // eagerFragPayload is the data carried per eager fragment.
@@ -262,6 +274,8 @@ func (s *Stack) eagerFragPayload() int {
 
 // Process implements nic.Driver: one completion-ring entry, in IRQ context
 // on core.
+//
+//omxlint:hotpath
 func (s *Stack) Process(d *nic.RxDesc, core *host.Core, done func()) {
 	bounce := sim.Time(0)
 	cold := s.lastRxCore != core.ID
@@ -286,8 +300,8 @@ func (s *Stack) Process(d *nic.RxDesc, core *host.Core, done func()) {
 	}
 
 	s.Stats.PacketsIn++
-	ep, ok := s.endpoints[h.DstEP]
-	if !ok {
+	ep := s.endpoint(h.DstEP)
+	if ep == nil {
 		core.SubmitIRQArg(s.p.Host.RxDropPacket+bounce, false, s.noEndpointFn, done)
 		return
 	}
@@ -330,5 +344,5 @@ func (s *Stack) localEndpoint(a Addr) *Endpoint {
 	if a.MAC != s.MAC() {
 		return nil
 	}
-	return s.endpoints[a.EP]
+	return s.endpoint(a.EP)
 }
