@@ -18,9 +18,15 @@ import (
 	"openmxsim/internal/wire"
 )
 
+// MaxNodes bounds Config.Nodes. Every node gets a host, a NIC, an Open-MX
+// stack and, in MPI harnesses, a rank, so the bound keeps one request
+// from building millions of them. No experiment, example or benchmark
+// workload builds more than 64.
+const MaxNodes = 4096
+
 // Config describes a testbed.
 type Config struct {
-	// Nodes is the host count (paper: 2).
+	// Nodes is the host count (paper: 2), at most MaxNodes.
 	Nodes int
 	// Topology selects the fabric switching model. The zero value is the
 	// legacy direct model (ideal unbounded egress), which keeps every
@@ -97,6 +103,9 @@ func Paper() Config {
 func (c Config) Validate() error {
 	if c.Nodes <= 0 {
 		return fmt.Errorf("cluster: invalid node count %d: want >= 1", c.Nodes)
+	}
+	if c.Nodes > MaxNodes {
+		return fmt.Errorf("cluster: invalid node count %d: want <= %d", c.Nodes, MaxNodes)
 	}
 	if c.CoalesceDelay < 0 {
 		return fmt.Errorf("cluster: invalid coalescing delay %dns: want >= 0", c.CoalesceDelay)
@@ -375,18 +384,37 @@ func (c *Cluster) sampleNode(at sim.Time, node int) {
 		PacketsIn:       s.Stats.PacketsIn,
 		PacketsOut:      s.Stats.PacketsOut,
 		RingDrops:       n.Stats.RingDrops,
-		Retransmits:     s.Stats.Retransmits,
-		Backoffs:        s.Stats.Backoffs,
-		GiveUps:         s.Stats.GiveUps,
-		PullRetries:     s.Stats.PullBlockRetries,
-		FeedbackSteps:   n.Stats.FeedbackSteps,
-		FeedbackClamps:  n.Stats.FeedbackClamps,
 	}
+	c.addProto(&smp.Proto, node)
 	if c.Cfg.Topology.Kind == fabric.TopologyOutputQueued {
 		smp.QueueFrames = c.Switch.QueueLen(n.MAC())
 		smp.PortDrops = c.Switch.PortStats(n.MAC()).Drops
 	}
 	c.traceNodes[node].Sample(smp)
+}
+
+// Proto sums the protocol counters over every node. Call it at a
+// quiescent point (after Run or between RunUntil windows), like every
+// cross-shard counter read.
+func (c *Cluster) Proto() trace.Proto {
+	var t trace.Proto
+	for node := range c.Stacks {
+		c.addProto(&t, node)
+	}
+	return t
+}
+
+// addProto adds node's protocol counters to t. It reads only the node's
+// own NIC and stack, so the node's sampler may call it mid-run from the
+// node's shard.
+func (c *Cluster) addProto(t *trace.Proto, node int) {
+	s, n := &c.Stacks[node].Stats, &c.NICs[node].Stats
+	t.Retransmits += s.Retransmits
+	t.Backoffs += s.Backoffs
+	t.GiveUps += s.GiveUps
+	t.PullRetries += s.PullBlockRetries
+	t.FeedbackSteps += n.FeedbackSteps
+	t.FeedbackClamps += n.FeedbackClamps
 }
 
 // FlapEdges returns how many scenario flap-edge markers have fired so

@@ -182,6 +182,7 @@ func TestValidateMessages(t *testing.T) {
 		want string
 	}{
 		{"nodes", mut(func(c *Config) { c.Nodes = 0 }), "invalid node count 0: want >= 1"},
+		{"nodes above cap", mut(func(c *Config) { c.Nodes = MaxNodes + 1 }), "invalid node count 4097: want <= 4096"},
 		{"delay", mut(func(c *Config) { c.CoalesceDelay = -5 }), "invalid coalescing delay -5ns: want >= 0"},
 		{"queues", mut(func(c *Config) { c.Queues = -1 }), "invalid queue count -1: want >= 0"},
 		{"par", mut(func(c *Config) { c.Parallelism = -3 }), "invalid parallelism -3: want >= 0"},

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"openmxsim/internal/cluster"
 	"openmxsim/internal/host"
 	"openmxsim/internal/nas"
 	"openmxsim/internal/nic"
@@ -43,9 +42,7 @@ func Adaptive(opts Options) *Report {
 	// Microbenchmark 1: small-message ping-pong latency.
 	latRow := []string{"pingpong 128B (us)"}
 	for _, st := range strategies {
-		cfg := cluster.Paper()
-		cfg.Seed = opts.Seed
-		cfg.Parallelism = opts.Par
+		cfg := opts.config()
 		cfg.Strategy = st.strategy
 		out, err := sweep.RunPingPong(cfg, []int{128}, iters, sweep.Background{})
 		if err != nil {
@@ -63,9 +60,7 @@ func Adaptive(opts Options) *Report {
 		measure = 25 * sim.Millisecond
 	}
 	for _, st := range strategies {
-		cfg := cluster.Paper()
-		cfg.Seed = opts.Seed
-		cfg.Parallelism = opts.Par
+		cfg := opts.config()
 		cfg.Strategy = st.strategy
 		res := sweep.RunStream(sweep.StreamSpec{Cluster: cfg, Size: 128,
 			Warmup: 10 * sim.Millisecond, Measure: measure})
@@ -82,9 +77,7 @@ func Adaptive(opts Options) *Report {
 	if err == nil {
 		isRow := []string{fmt.Sprintf("is.%c.16 (s)", class)}
 		for _, st := range strategies {
-			cfg := cluster.Paper()
-			cfg.Seed = opts.Seed
-			cfg.Parallelism = opts.Par
+			cfg := opts.config()
 			cfg.Strategy = st.strategy
 			res, err := nas.Run(cfg, wl)
 			if err != nil {
@@ -124,9 +117,7 @@ func Multiqueue(opts Options) *Report {
 		{"8 queues, per-queue IRQs", 8, host.IRQPerQueue},
 	}
 	for _, cs := range cases {
-		cfg := cluster.Paper()
-		cfg.Seed = opts.Seed
-		cfg.Parallelism = opts.Par
+		cfg := opts.config()
 		cfg.Strategy = nic.StrategyOpenMX
 		cfg.Queues = cs.queues
 		cfg.IRQPolicy = cs.policy
@@ -160,9 +151,7 @@ func Jumbo(opts Options) *Report {
 	sizes := []int{64, 1 << 10, 32 << 10, 1 << 20}
 	results := map[int]map[int]sim.Time{}
 	for _, mtu := range []int{1500, 9000} {
-		cfg := cluster.Paper()
-		cfg.Seed = opts.Seed
-		cfg.Parallelism = opts.Par
+		cfg := opts.config()
 		cfg.Strategy = nic.StrategyOpenMX
 		p := params.Default()
 		p.Proto.MTU = mtu

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"openmxsim/internal/cluster"
 	"openmxsim/internal/host"
 	"openmxsim/internal/nic"
 	"openmxsim/internal/sim"
@@ -56,9 +55,7 @@ func Fig4(opts Options) *Report {
 	for _, d := range delays {
 		row := []string{fmt.Sprintf("%d", d/sim.Microsecond)}
 		for _, hc := range configs {
-			cfg := cluster.Paper()
-			cfg.Seed = opts.Seed
-			cfg.Parallelism = opts.Par
+			cfg := opts.config()
 			cfg.IRQPolicy = hc.policy
 			cfg.SleepDisabled = !hc.sleep
 			if d == 0 {
@@ -109,9 +106,7 @@ func Overhead(opts Options) *Report {
 		},
 	}
 	for _, c := range rows {
-		cfg := cluster.Paper()
-		cfg.Seed = opts.Seed
-		cfg.Parallelism = opts.Par
+		cfg := opts.config()
 		cfg.Strategy = c.strategy
 		cfg.IRQPolicy = c.policy
 		res := runOverhead(cfg, packets, gap)

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"openmxsim/internal/cluster"
 	"openmxsim/internal/fabric"
 	"openmxsim/internal/nic"
 	"openmxsim/internal/sim"
@@ -45,9 +44,7 @@ func Incast(opts Options) *Report {
 	}
 	for _, n := range fanins {
 		for _, st := range strategies {
-			cfg := cluster.Paper()
-			cfg.Seed = opts.Seed
-			cfg.Parallelism = opts.Par
+			cfg := opts.config()
 			cfg.Strategy = st.strategy
 			// Clusters are built strictly sequentially here, so one shared
 			// recorder can observe the whole experiment run-by-run.
@@ -115,9 +112,7 @@ func CongestedPingPong(opts Options) *Report {
 	type col struct{ base, loaded map[int]sim.Time }
 	cols := make([]col, len(strategies))
 	for i, st := range strategies {
-		cfg := cluster.Paper()
-		cfg.Seed = opts.Seed
-		cfg.Parallelism = opts.Par
+		cfg := opts.config()
 		cfg.Strategy = st.strategy
 		base, err := sweep.RunPingPong(cfg, sizes, iters, sweep.Background{})
 		if err != nil {

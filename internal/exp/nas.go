@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"openmxsim/internal/cluster"
 	"openmxsim/internal/nas"
 	"openmxsim/internal/nic"
 	"openmxsim/internal/units"
@@ -60,9 +59,7 @@ func nasSweep(opts Options, workloads []struct {
 			continue // rendered as "Not enough memory", like the paper
 		}
 		for _, st := range nasStrategies {
-			cfg := cluster.Paper()
-			cfg.Seed = opts.Seed
-			cfg.Parallelism = opts.Par
+			cfg := opts.config()
 			cfg.Strategy = st.strategy
 			res, err := nas.Run(cfg, wl)
 			if err != nil {

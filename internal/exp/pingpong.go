@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"openmxsim/internal/cluster"
 	"openmxsim/internal/nic"
 	"openmxsim/internal/sim"
 	"openmxsim/internal/sweep"
@@ -31,9 +30,7 @@ func pingPongReport(id, title string, opts Options, strategies []ppStrategy, not
 	}
 	results := make([]map[int]sim.Time, len(strategies))
 	for i, s := range strategies {
-		cfg := cluster.Paper()
-		cfg.Seed = opts.Seed
-		cfg.Parallelism = opts.Par
+		cfg := opts.config()
 		cfg.Strategy = s.strategy
 		out, err := sweep.RunPingPong(cfg, pingPongSizes, iters, sweep.Background{})
 		if err != nil {

@@ -10,6 +10,7 @@ import (
 	"io"
 	"strings"
 
+	"openmxsim/internal/cluster"
 	"openmxsim/internal/sim"
 	"openmxsim/internal/trace"
 )
@@ -29,6 +30,15 @@ type Options struct {
 	// series from the experiments that support telemetry (incast,
 	// resilience-flap). Reports stay bit-identical with it attached.
 	Trace *trace.Recorder
+}
+
+// config returns the paper's platform at the run's seed and parallelism,
+// the starting point of every cluster an experiment builds.
+func (o Options) config() cluster.Config {
+	cfg := cluster.Paper()
+	cfg.Seed = o.Seed
+	cfg.Parallelism = o.Par
+	return cfg
 }
 
 // Report is a formatted experiment result. It renders three ways: an

@@ -108,9 +108,7 @@ func ResilienceIncast(opts Options) *Report {
 	}
 	for _, st := range strategies {
 		for _, lo := range loss {
-			cfg := cluster.Paper()
-			cfg.Seed = opts.Seed
-			cfg.Parallelism = opts.Par
+			cfg := opts.config()
 			cfg.Strategy = st.strategy
 			cfg.Topology = fabric.Topology{
 				Kind:              fabric.TopologyOutputQueued,
@@ -179,9 +177,7 @@ func ResilienceFlap(opts Options) *Report {
 		},
 	}
 	for _, tc := range cases {
-		cfg := cluster.Paper()
-		cfg.Seed = opts.Seed
-		cfg.Parallelism = opts.Par
+		cfg := opts.config()
 		// Sequential cluster construction: the shared recorder sees one run
 		// per flap case, flap edges included.
 		cfg.Trace = opts.Trace
@@ -214,12 +210,7 @@ func ResilienceFlap(opts Options) *Report {
 			wd = "FIRED"
 			rep.Notes = append(rep.Notes, fmt.Sprintf("WATCHDOG %s: %v", tc.name, werr))
 		}
-		pc := sweep.ProtoCounters{}
-		for _, s := range cl.Stacks {
-			pc.Retransmits += s.Stats.Retransmits
-			pc.Backoffs += s.Stats.Backoffs
-			pc.GiveUps += s.Stats.GiveUps
-		}
+		pc := cl.Proto()
 		rep.Rows = append(rep.Rows, []string{
 			tc.name, outcome, wd,
 			fmt.Sprintf("%d", pc.Retransmits),

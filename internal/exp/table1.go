@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"openmxsim/internal/cluster"
 	"openmxsim/internal/nic"
 	"openmxsim/internal/sim"
 	"openmxsim/internal/sweep"
@@ -54,9 +53,7 @@ func Table1(opts Options) *Report {
 	for _, ss := range sizes {
 		row := []string{ss.label}
 		for _, st := range table1Strategies {
-			cfg := cluster.Paper()
-			cfg.Seed = opts.Seed
-			cfg.Parallelism = opts.Par
+			cfg := opts.config()
 			cfg.Strategy = st.strategy
 			res := sweep.RunStream(sweep.StreamSpec{
 				Cluster: cfg, Size: ss.size,

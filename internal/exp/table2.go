@@ -77,9 +77,7 @@ func Table2(opts Options) *Report {
 		},
 	}
 	for _, st := range strategies {
-		cfg := cluster.Paper()
-		cfg.Seed = opts.Seed
-		cfg.Parallelism = opts.Par
+		cfg := opts.config()
 		cfg.Strategy = st.strategy
 		mean, irq, err := largeAnatomy(cfg, iters)
 		if err != nil {
@@ -99,9 +97,7 @@ func Table2Ablation(opts Options) *Report {
 	if opts.Quick {
 		iters = 8
 	}
-	base := cluster.Paper()
-	base.Seed = opts.Seed
-	base.Parallelism = opts.Par
+	base := opts.config()
 	base.Strategy = nic.StrategyOpenMX
 	full, _, err := largeAnatomy(base, iters)
 

@@ -93,9 +93,7 @@ func Table3(opts Options) *Report {
 		{"Open-MX", nic.StrategyOpenMX},
 		{"Stream", nic.StrategyStream},
 	} {
-		cfg := cluster.Paper()
-		cfg.Seed = opts.Seed
-		cfg.Parallelism = opts.Par
+		cfg := opts.config()
 		cfg.Strategy = st.strategy
 		base, err := mediumMisorder(cfg, 0, iters, 0)
 		if err != nil {

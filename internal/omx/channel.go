@@ -59,12 +59,14 @@ type channel struct {
 	mediumActive  int
 	mediumPending sim.Queue[*sendOp]
 
-	// Messages from the remote endpoint still in progress here, found by
-	// message id: the mediums the library is reassembling and the large
-	// messages being pulled. A channel has only a few open at once, so a
-	// scan is cheaper than hashing.
+	// Messages still in progress, found by message id: from the remote
+	// endpoint, the mediums the library is reassembling and the large
+	// messages being pulled; to it, the large messages announced and not
+	// yet notified, in the order they were posted. A channel has only a
+	// few open at once, so a scan is cheaper than hashing.
 	reasm []*mediumReasm
 	pulls []*pullState
+	large []*largeSend
 
 	// Timer callbacks, bound once at construction.
 	resendFn    func()
@@ -235,18 +237,10 @@ func (c *channel) giveUp(err error) {
 	s.tr.Event(s.eng.Now(), trace.EvGiveUp, int64(s.Stats.GiveUps))
 	c.teardown(err)
 
-	// Sender-side large messages toward this peer, in msgID order so the
-	// completion sequence is independent of map iteration.
-	var ids []uint32
-	for id, ls := range c.ep.pullSrc {
-		if ls.dst == c.remote {
-			ids = append(ids, id)
-		}
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		ls := c.ep.pullSrc[id]
-		delete(c.ep.pullSrc, id)
+	// Large messages toward this peer, in the order they were posted.
+	large := c.large
+	c.large = nil
+	for _, ls := range large {
 		ls.handle.fail(err)
 	}
 }
@@ -377,6 +371,16 @@ func (c *channel) reasmFor(id uint32) *mediumReasm {
 	for _, r := range c.reasm {
 		if r.msgID == id {
 			return r
+		}
+	}
+	return nil
+}
+
+// largeFor returns the announced large send with message id, or nil.
+func (c *channel) largeFor(id uint32) *largeSend {
+	for _, ls := range c.large {
+		if ls.msgID == id {
+			return ls
 		}
 	}
 	return nil

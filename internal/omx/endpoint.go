@@ -161,10 +161,6 @@ type Endpoint struct {
 	posted     sim.Queue[*RecvHandle]
 	unexpected sim.Queue[*unexpMsg]
 
-	// Sender-side large-message state. The receiver-side state, medium
-	// reassemblies and pulls, sits on the channel it arrives on.
-	pullSrc map[uint32]*largeSend
-
 	// Free lists and once-bound callbacks for the hot paths.
 	evFree        []*event
 	opFree        []*sendOp
@@ -185,7 +181,6 @@ func newEndpoint(s *Stack, id uint8, core *host.Core) *Endpoint {
 		core:       core,
 		rng:        s.rng.Derive(0xE9D0<<40 | uint64(id)),
 		lastWriter: -1,
-		pullSrc:    make(map[uint32]*largeSend),
 	}
 	e.applyFn = func(x any) {
 		ev := x.(*event)
@@ -487,14 +482,15 @@ func (e *Endpoint) sendLarge(dst Addr, match uint64, data []byte, size int, h *S
 func (e *Endpoint) largePost(op *sendOp) {
 	dst, match, data, size, h := op.dst, op.match, op.data, op.size, op.h
 	e.putOp(op)
-	if c := e.channelFor(dst); c.failed != nil {
+	c := e.channelFor(dst)
+	if c.failed != nil {
 		// The channel already gave up: the Notify this send would wait
 		// for can never arrive.
 		h.fail(c.failed)
 		return
 	}
 	msgID := e.allocMsgID()
-	e.pullSrc[msgID] = &largeSend{msgID: msgID, data: data, size: size, handle: h, dst: dst}
+	c.large = append(c.large, &largeSend{msgID: msgID, data: data, size: size, handle: h})
 	hd := wire.Header{
 		Type: wire.TypeRendezvous, SrcEP: e.ID, DstEP: dst.EP,
 		Match: match, MsgID: msgID, Aux: uint32(size),
@@ -503,7 +499,7 @@ func (e *Endpoint) largePost(op *sendOp) {
 		hd.Flags |= wire.FlagLatencySensitive
 	}
 	e.stack.Stats.LargeSent++
-	e.channelFor(dst).send(e.stack.newFrame(e.stack.MAC(), dst.MAC, hd, nil, 0), nil, nil)
+	c.send(e.stack.newFrame(e.stack.MAC(), dst.MAC, hd, nil, 0), nil, nil)
 }
 
 func (e *Endpoint) shmSend(dst *Endpoint, match uint64, data []byte, size int, h *SendHandle) {
@@ -672,8 +668,8 @@ func (e *Endpoint) applyEvent(ev *event) {
 	case evPullDone:
 		ev.rh.complete()
 	case evNotifyRecvd:
-		if ls, ok := e.pullSrc[ev.msgID]; ok {
-			delete(e.pullSrc, ev.msgID)
+		if ls := ev.ch.largeFor(ev.msgID); ls != nil {
+			ev.ch.large = deleteElem(ev.ch.large, ls)
 			ls.handle.complete()
 		}
 	}
@@ -732,13 +728,6 @@ func (e *Endpoint) applyMediumFrag(ev *event) {
 	e.unexpected.PushBack(&unexpMsg{
 		kind: evEager, src: r.src, match: r.match, data: r.data, size: r.total,
 	})
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // String describes the endpoint.

@@ -15,13 +15,14 @@ import (
 // keeping PullParallel requests in flight so the wire never drains; the
 // final fragment triggers a Notify back to the sender.
 
-// largeSend is the sender-side record of an announced large message.
+// largeSend is the sender-side record of an announced large message. It
+// is listed on the channel to the receiver until the receiver's Notify
+// arrives.
 type largeSend struct {
 	msgID  uint32
 	data   []byte
 	size   int
 	handle *SendHandle
-	dst    Addr
 }
 
 // pullState is the receiver-side progress of one large transfer. It is
@@ -183,8 +184,9 @@ func (e *Endpoint) giveUpPull(ps *pullState) {
 // the actual transmissions.
 func (e *Endpoint) handlePullRequest(f *wire.Frame) {
 	h := &f.Header
-	ls, ok := e.pullSrc[h.MsgID]
-	if !ok {
+	src := Addr{MAC: f.Src, EP: h.SrcEP}
+	ls := e.channelFor(src).largeFor(h.MsgID)
+	if ls == nil {
 		return // stale or duplicate request for a finished transfer
 	}
 	p := e.stack.p
@@ -202,7 +204,6 @@ func (e *Endpoint) handlePullRequest(f *wire.Frame) {
 	if n <= 0 {
 		return
 	}
-	src := Addr{MAC: f.Src, EP: h.SrcEP}
 	for i := 0; i < n; i++ {
 		frag := start + i
 		off := frag * replyPayload

@@ -6,6 +6,7 @@ import (
 	"openmxsim/internal/mpi"
 	"openmxsim/internal/omx"
 	"openmxsim/internal/sim"
+	"openmxsim/internal/trace"
 )
 
 // Background describes bulk traffic congesting the ping-pong receiver's
@@ -102,7 +103,7 @@ func runLoadedPingPong(cfg cluster.Config, sizes []int, iters int, bg Background
 		Latency:    res,
 		Interrupts: intr,
 		Messages:   msgs,
-		Proto:      protoCounters(cl),
+		Proto:      cl.Proto(),
 		Ports:      portSnapshots(cl),
 	}, err
 }
@@ -146,8 +147,8 @@ type IncastResult struct {
 	MaxQueueFrames int
 	// QueueWaitNS is the mean per-frame egress queueing delay in ns.
 	QueueWaitNS float64
-	// Proto sums the protocol robustness counters over all nodes.
-	Proto ProtoCounters
+	// Proto sums the protocol counters over all nodes.
+	Proto trace.Proto
 	// Ports holds every node's egress-port statistics when the topology is
 	// output-queued (nil under the direct topology, which has no ports).
 	Ports []fabric.PortStats
@@ -217,7 +218,7 @@ func RunIncast(spec IncastSpec) IncastResult {
 		PortDrops:      port.Drops,
 		MaxQueueFrames: port.MaxQueueFrames,
 		QueueWaitNS:    wait,
-		Proto:          protoCounters(cl),
+		Proto:          cl.Proto(),
 		Ports:          portSnapshots(cl),
 	}
 }

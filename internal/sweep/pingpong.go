@@ -8,38 +8,8 @@ import (
 	"openmxsim/internal/mpi"
 	"openmxsim/internal/proc"
 	"openmxsim/internal/sim"
+	"openmxsim/internal/trace"
 )
-
-// ProtoCounters sums the reliability layer's robustness counters over a
-// cluster's nodes: how hard the protocol worked to complete the
-// measurement.
-type ProtoCounters struct {
-	Retransmits uint64
-	Backoffs    uint64
-	GiveUps     uint64
-	PullRetries uint64
-	// FeedbackSteps sums the closed-loop coalescer's delay adjustments
-	// over every NIC — always 0 unless a point runs StrategyFeedback.
-	FeedbackSteps uint64
-	// FeedbackClamps sums the controller walks absorbed by the [min,max]
-	// delay clamp — the controller hit a wall and could not move.
-	FeedbackClamps uint64
-}
-
-func protoCounters(cl *cluster.Cluster) ProtoCounters {
-	var pc ProtoCounters
-	for _, s := range cl.Stacks {
-		pc.Retransmits += s.Stats.Retransmits
-		pc.Backoffs += s.Stats.Backoffs
-		pc.GiveUps += s.Stats.GiveUps
-		pc.PullRetries += s.Stats.PullBlockRetries
-	}
-	for _, n := range cl.NICs {
-		pc.FeedbackSteps += n.Stats.FeedbackSteps
-		pc.FeedbackClamps += n.Stats.FeedbackClamps
-	}
-	return pc
-}
 
 // PingPongOutcome bundles everything one ping-pong measurement produces:
 // the per-size latency map, the interrupt/message totals, the summed
@@ -50,7 +20,7 @@ type PingPongOutcome struct {
 	Latency    map[int]sim.Time
 	Interrupts uint64
 	Messages   int
-	Proto      ProtoCounters
+	Proto      trace.Proto
 	Ports      []fabric.PortStats
 }
 
@@ -102,7 +72,7 @@ func RunPingPong(cfg cluster.Config, sizes []int, iters int, bg Background) (Pin
 		Latency:    res,
 		Interrupts: cl.Interrupts(),
 		Messages:   msgs,
-		Proto:      protoCounters(cl),
+		Proto:      cl.Proto(),
 		Ports:      portSnapshots(cl),
 	}, err
 }

@@ -1,12 +1,8 @@
 package sweep
 
 import (
-	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
-	"strconv"
-	"strings"
 
 	"openmxsim/internal/trace"
 )
@@ -41,20 +37,10 @@ type Result struct {
 	// on; the keys are always present so every point shares one schema.
 	RateMsgPerSec  float64 `json:"rate_msg_per_sec"`
 	RateIntrPerSec float64 `json:"rate_intr_per_sec"`
-	// Retransmits, Backoffs and GiveUps sum the protocol-robustness
-	// counters over every node of the latency measurement's cluster —
-	// how hard the reliability layer worked at this point.
-	Retransmits uint64 `json:"retransmits"`
-	Backoffs    uint64 `json:"backoffs"`
-	GiveUps     uint64 `json:"give_ups"`
-	PullRetries uint64 `json:"pull_retries"`
-	// FeedbackSteps counts the closed-loop coalescer's delay adjustments
-	// over the point (0 unless the point runs the feedback strategy) —
-	// the telemetry the service streams alongside each result.
-	FeedbackSteps uint64 `json:"feedback_steps"`
-	// FeedbackClamps counts controller walks absorbed by the delay clamp
-	// (the controller hit its [min,max] wall and could not move).
-	FeedbackClamps uint64 `json:"feedback_clamps"`
+	// Proto sums the protocol counters over every node of the latency
+	// measurement's cluster: how hard the reliability layer worked at
+	// this point.
+	trace.Proto
 	// Series is the point's virtual-time metric series, present only when
 	// Grid.Sample is set (JSON only; the flat CSV schema stays scalar).
 	Series []trace.Sample `json:"series,omitempty"`
@@ -83,53 +69,8 @@ func (rs Results) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// csvHeader names the CSV columns, in Result field order.
-var csvHeader = []string{
-	"index", "strategy", "delay_us", "size_bytes", "irq", "queues", "seed",
-	"sleep_disabled", "nodes", "bg_streams", "drop_prob", "burst",
-	"latency_ns", "interrupts", "intr_per_msg", "rate_msg_per_sec",
-	"rate_intr_per_sec", "retransmits", "backoffs", "give_ups",
-	"pull_retries", "feedback_steps", "feedback_clamps", "error",
-}
-
-// WriteCSV writes the results as comma-separated values with a header row.
+// WriteCSV writes the results as comma-separated values with a header
+// row: one column per scalar field of the JSON form, in the same order.
 func (rs Results) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(csvHeader); err != nil {
-		return err
-	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	for _, r := range rs {
-		cells := []string{
-			strconv.Itoa(r.Index), r.Strategy, f(r.DelayUS),
-			strconv.Itoa(r.SizeBytes), r.IRQ, strconv.Itoa(r.Queues),
-			strconv.FormatUint(r.Seed, 10), strconv.FormatBool(r.SleepDisabled),
-			strconv.Itoa(r.Nodes), strconv.Itoa(r.BgStreams),
-			f(r.DropProb), f(r.Burst),
-			strconv.FormatInt(r.LatencyNS, 10),
-			strconv.FormatUint(r.Interrupts, 10), f(r.IntrPerMsg),
-			f(r.RateMsgPerSec), f(r.RateIntrPerSec),
-			strconv.FormatUint(r.Retransmits, 10),
-			strconv.FormatUint(r.Backoffs, 10),
-			strconv.FormatUint(r.GiveUps, 10),
-			strconv.FormatUint(r.PullRetries, 10),
-			strconv.FormatUint(r.FeedbackSteps, 10),
-			strconv.FormatUint(r.FeedbackClamps, 10),
-			r.Err,
-		}
-		if err := cw.Write(cells); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// CSV renders the results as a CSV string.
-func (rs Results) CSV() string {
-	var b strings.Builder
-	if err := rs.WriteCSV(&b); err != nil {
-		return fmt.Sprintf("error: %v", err)
-	}
-	return b.String()
+	return trace.WriteCSV(w, rs)
 }

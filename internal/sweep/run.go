@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 
 	"openmxsim/internal/fabric"
-	"openmxsim/internal/sim"
 	"openmxsim/internal/trace"
 )
 
@@ -130,7 +129,7 @@ func RunContext(ctx context.Context, g Grid, workers int, obs Observer) (Results
 	if err := ctx.Err(); err != nil {
 		for i, p := range pts {
 			if !done[i] {
-				results[i] = cancelledResult(g, p, err)
+				results[i] = cancelledResult(p, err)
 			}
 		}
 		return results, fmt.Errorf("sweep: cancelled after %d of %d points: %w",
@@ -142,23 +141,10 @@ func RunContext(ctx context.Context, g Grid, workers int, obs Observer) (Results
 // cancelledResult is the placeholder for a point the supervision seam
 // skipped: the point's coordinates with the cancellation cause in Err, so
 // partial result sets stay full-length, grid-ordered, and self-describing.
-func cancelledResult(g Grid, p Point, cause error) Result {
-	cfg := p.Config()
-	return Result{
-		Index:         p.Index,
-		Strategy:      p.Strategy.String(),
-		DelayUS:       float64(p.Delay) / float64(sim.Microsecond),
-		SizeBytes:     p.Size,
-		IRQ:           p.IRQ.String(),
-		Queues:        p.Queues,
-		Seed:          p.Seed,
-		SleepDisabled: p.SleepDisabled,
-		Nodes:         cfg.Nodes,
-		BgStreams:     p.BgStreams,
-		DropProb:      p.DropProb,
-		Burst:         p.Burst,
-		Err:           fmt.Sprintf("cancelled: %v", cause),
-	}
+func cancelledResult(p Point, cause error) Result {
+	res := p.result(p.Config().Nodes)
+	res.Err = fmt.Sprintf("cancelled: %v", cause)
+	return res
 }
 
 // workerBudget resolves the worker-pool size for the normalized grid g:
@@ -212,20 +198,7 @@ func runPoint(g Grid, p Point, scratch *pointScratch) (res Result) {
 			EgressQueueFrames: g.QFrames,
 		}
 	}
-	res = Result{
-		Index:         p.Index,
-		Strategy:      p.Strategy.String(),
-		DelayUS:       float64(p.Delay) / float64(sim.Microsecond),
-		SizeBytes:     p.Size,
-		IRQ:           p.IRQ.String(),
-		Queues:        p.Queues,
-		Seed:          p.Seed,
-		SleepDisabled: p.SleepDisabled,
-		Nodes:         cfg.Nodes, // effective count, after the bg raise
-		BgStreams:     p.BgStreams,
-		DropProb:      p.DropProb,
-		Burst:         p.Burst,
-	}
+	res = p.result(cfg.Nodes)
 	defer func() {
 		if r := recover(); r != nil {
 			res.Err = fmt.Sprintf("panic: %v", r)
@@ -246,12 +219,7 @@ func runPoint(g Grid, p Point, scratch *pointScratch) (res Result) {
 
 	scratch.sizes[0] = p.Size
 	out, err := RunPingPong(cfg, scratch.sizes[:], g.Iters, Background{Streams: p.BgStreams})
-	res.Retransmits = out.Proto.Retransmits
-	res.Backoffs = out.Proto.Backoffs
-	res.GiveUps = out.Proto.GiveUps
-	res.PullRetries = out.Proto.PullRetries
-	res.FeedbackSteps = out.Proto.FeedbackSteps
-	res.FeedbackClamps = out.Proto.FeedbackClamps
+	res.Proto = out.Proto
 	if g.Sample > 0 {
 		// Rezero the run index: a point's series is self-contained, and
 		// the payload must not depend on whether a shared event recorder

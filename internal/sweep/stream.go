@@ -1,6 +1,8 @@
 package sweep
 
 import (
+	"fmt"
+
 	"openmxsim/internal/cluster"
 	"openmxsim/internal/omx"
 	"openmxsim/internal/sim"
@@ -34,13 +36,20 @@ type StreamResult struct {
 	Received int
 }
 
-// RunStream builds a cluster from the spec and runs the measurement.
+// RunStream builds a cluster from the spec and runs the measurement. The
+// cluster's Nodes is raised to 2 when too small. Like cluster.New on an
+// invalid config, it panics with an error on a negative Size.
 func RunStream(spec StreamSpec) StreamResult {
+	if spec.Size < 0 {
+		panic(fmt.Errorf("stream: invalid message size %d B: want >= 0", spec.Size))
+	}
 	chains := 8
 	if spec.Size > 256<<10 {
 		chains = 4
 	}
-	cl := cluster.New(spec.Cluster)
+	cfg := spec.Cluster
+	cfg.Nodes = max(cfg.Nodes, 2)
+	cl := cluster.New(cfg)
 	// Application processes pinned away from the default IRQ core (core
 	// 0). In Fig. 4's configurations the receiving core stays 95-100%
 	// busy in user context, so it never enters C1E: every wake-up the host

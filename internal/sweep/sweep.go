@@ -145,6 +145,25 @@ func (p Point) Config() cluster.Config {
 	return cfg
 }
 
+// result returns a Result holding the point's coordinates, with nodes as
+// the effective cluster size (after the raise for background streams).
+func (p Point) result(nodes int) Result {
+	return Result{
+		Index:         p.Index,
+		Strategy:      p.Strategy.String(),
+		DelayUS:       float64(p.Delay) / float64(sim.Microsecond),
+		SizeBytes:     p.Size,
+		IRQ:           p.IRQ.String(),
+		Queues:        p.Queues,
+		Seed:          p.Seed,
+		SleepDisabled: p.SleepDisabled,
+		Nodes:         nodes,
+		BgStreams:     p.BgStreams,
+		DropProb:      p.DropProb,
+		Burst:         p.Burst,
+	}
+}
+
 // normalized returns a copy of g with every empty axis replaced by its
 // paper-platform default.
 func (g Grid) normalized() Grid {

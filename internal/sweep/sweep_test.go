@@ -331,6 +331,29 @@ func TestRateMeasurement(t *testing.T) {
 	}
 }
 
+// TestRunStreamInputs: a one-node config is raised to the two nodes the
+// stream runs between, and a negative size panics with an error, as
+// cluster.New does on an invalid config.
+func TestRunStreamInputs(t *testing.T) {
+	cfg := cluster.Paper()
+	cfg.Nodes = 1
+	spec := StreamSpec{Cluster: cfg, Size: 128, Warmup: sim.Millisecond, Measure: 2 * sim.Millisecond}
+	if r := RunStream(spec); r.Rate <= 0 {
+		t.Errorf("one-node stream measured %.0f msg/s", r.Rate)
+	}
+
+	spec.Size = -1
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		RunStream(spec)
+	}()
+	err, ok := got.(error)
+	if !ok || !strings.Contains(err.Error(), "invalid message size -1 B: want >= 0") {
+		t.Errorf("negative size: recovered %v, want an invalid-size error", got)
+	}
+}
+
 func TestSerializationShape(t *testing.T) {
 	g := Grid{Sizes: []int{1}, Iters: 3}
 	rs, err := Run(g, 1)
@@ -349,12 +372,15 @@ func TestSerializationShape(t *testing.T) {
 		t.Errorf("unexpected JSON content: %v", decoded)
 	}
 
-	csv := rs.CSV()
-	lines := strings.Split(strings.TrimSpace(csv), "\n")
+	var csv strings.Builder
+	if err := rs.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(csv.String()), "\n")
 	if len(lines) != 2 {
 		t.Fatalf("CSV has %d lines, want header + 1 row", len(lines))
 	}
-	if got, want := len(strings.Split(lines[1], ",")), len(csvHeader); got != want {
+	if got, want := len(strings.Split(lines[1], ",")), len(strings.Split(lines[0], ",")); got != want {
 		t.Errorf("CSV row has %d cells, header names %d", got, want)
 	}
 }
@@ -371,6 +397,10 @@ func TestRunValidationMessages(t *testing.T) {
 		{"size", Grid{Sizes: []int{-4}}, "invalid message size -4 B: want >= 0"},
 		{"bg streams", Grid{BgStreams: []int{-2}}, "invalid background stream count -2: want >= 0"},
 		{"nodes", Grid{Nodes: []int{1}}, "invalid node count 1: want >= 2"},
+		// Above the cap, Nodes and BgStreams fail through Config.Validate,
+		// before any worker builds a cluster.
+		{"nodes above cap", Grid{Nodes: []int{cluster.MaxNodes + 1}}, "invalid node count 4097: want <= 4096"},
+		{"bg streams above cap", Grid{BgStreams: []int{cluster.MaxNodes - 1}}, "invalid node count 4097: want <= 4096"},
 		{"drop prob", Grid{DropProb: []float64{1.5}}, "invalid drop probability 1.5: want [0,1)"},
 		{"burst", Grid{DropProb: []float64{0.1}, Burst: []float64{-3}}, "invalid burst length -3: want >= 0"},
 		{"queues via config", Grid{Queues: []int{-1}}, "invalid queue count -1: want >= 0"},

@@ -1,10 +1,13 @@
 package trace
 
 import (
+	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
+	"reflect"
 	"strconv"
+	"strings"
 
 	"openmxsim/internal/sim"
 )
@@ -26,62 +29,65 @@ func (r *Recorder) WriteSeriesJSON(w io.Writer) error {
 	return err
 }
 
-// seriesCSVHeader names the series columns, in Sample field order.
-var seriesCSVHeader = []string{
-	"run", "t_ns", "node", "interrupts", "coalesce_delay_ns", "packets_in",
-	"packets_out", "queue_frames", "port_drops", "ring_drops", "retransmits",
-	"backoffs", "give_ups", "pull_retries", "feedback_steps", "feedback_clamps",
-}
-
 // WriteSeriesCSV writes the merged metric series as CSV with a header row.
 func (r *Recorder) WriteSeriesCSV(w io.Writer) error {
-	bw := newLineWriter(w)
-	bw.fields(seriesCSVHeader...)
-	for _, s := range r.Samples() {
-		bw.fields(
-			strconv.Itoa(s.Run), strconv.FormatInt(int64(s.At), 10),
-			strconv.Itoa(s.Node), strconv.FormatUint(s.Interrupts, 10),
-			strconv.FormatInt(s.CoalesceDelayNS, 10),
-			strconv.FormatUint(s.PacketsIn, 10),
-			strconv.FormatUint(s.PacketsOut, 10),
-			strconv.Itoa(s.QueueFrames), strconv.FormatUint(s.PortDrops, 10),
-			strconv.FormatUint(s.RingDrops, 10),
-			strconv.FormatUint(s.Retransmits, 10),
-			strconv.FormatUint(s.Backoffs, 10),
-			strconv.FormatUint(s.GiveUps, 10),
-			strconv.FormatUint(s.PullRetries, 10),
-			strconv.FormatUint(s.FeedbackSteps, 10),
-			strconv.FormatUint(s.FeedbackClamps, 10),
-		)
-	}
-	return bw.err
+	return WriteCSV(w, r.Samples())
 }
 
-// lineWriter is a minimal CSV emitter: every value this package writes is
-// numeric or a fixed identifier, so no quoting is ever needed and the
-// byte-for-byte output is trivially auditable.
-type lineWriter struct {
-	w   io.Writer
-	err error
+// WriteCSV writes rows as CSV with a header row. The columns are the
+// row type's JSON form without its slices: every exported scalar field
+// under its JSON name, in field order, with embedded structs flattened in
+// place. Slices and other non-scalar fields, unexported fields and fields
+// tagged "-" are skipped. Floats print in strconv's shortest 'g' form.
+func WriteCSV[T any](w io.Writer, rows []T) error {
+	var cols [][]int // each column's field index path
+	var header []string
+	for _, f := range reflect.VisibleFields(reflect.TypeFor[T]()) {
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if _, ok := cell(reflect.Zero(f.Type)); !ok || !f.IsExported() || name == "-" {
+			continue
+		}
+		if name == "" {
+			name = f.Name
+		}
+		cols = append(cols, f.Index)
+		header = append(header, name)
+	}
+
+	cw := csv.NewWriter(w)
+	if err := cw.Write(header); err != nil {
+		return err
+	}
+	rec := make([]string, len(cols))
+	for i := range rows {
+		row := reflect.ValueOf(&rows[i]).Elem()
+		for j, at := range cols {
+			rec[j], _ = cell(row.FieldByIndex(at))
+		}
+		if err := cw.Write(rec); err != nil {
+			return err
+		}
+	}
+	cw.Flush()
+	return cw.Error()
 }
 
-func newLineWriter(w io.Writer) *lineWriter { return &lineWriter{w: w} }
-
-func (lw *lineWriter) fields(cells ...string) {
-	if lw.err != nil {
-		return
+// cell formats a scalar field; ok is false for a field of any other kind,
+// which gets no column.
+func cell(v reflect.Value) (s string, ok bool) {
+	switch v.Kind() {
+	case reflect.Bool:
+		return strconv.FormatBool(v.Bool()), true
+	case reflect.String:
+		return v.String(), true
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return strconv.FormatInt(v.Int(), 10), true
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		return strconv.FormatUint(v.Uint(), 10), true
+	case reflect.Float32, reflect.Float64:
+		return strconv.FormatFloat(v.Float(), 'g', -1, v.Type().Bits()), true
 	}
-	for i, c := range cells {
-		if i > 0 {
-			if _, lw.err = io.WriteString(lw.w, ","); lw.err != nil {
-				return
-			}
-		}
-		if _, lw.err = io.WriteString(lw.w, c); lw.err != nil {
-			return
-		}
-	}
-	_, lw.err = io.WriteString(lw.w, "\n")
+	return "", false
 }
 
 // WriteChromeTrace writes the recorded timeline in the Chrome trace-event

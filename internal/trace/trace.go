@@ -86,6 +86,24 @@ type Event struct {
 	seq uint64 // per-(run,node) emission index, the merge tiebreaker
 }
 
+// Proto is the protocol counter block: how hard the reliability layer and
+// the closed-loop coalescer worked. A Sample carries one node's; sweep
+// results and harness outcomes carry the sum over a cluster's nodes
+// (cluster.Cluster.Proto). Embedded in a row type, its fields are six
+// JSON keys and CSV columns in place.
+type Proto struct {
+	Retransmits uint64 `json:"retransmits"`
+	Backoffs    uint64 `json:"backoffs"`
+	GiveUps     uint64 `json:"give_ups"`
+	PullRetries uint64 `json:"pull_retries"`
+	// FeedbackSteps counts the closed-loop coalescer's delay adjustments
+	// (always 0 unless the NICs run StrategyFeedback).
+	FeedbackSteps uint64 `json:"feedback_steps"`
+	// FeedbackClamps counts controller walks absorbed by the [min,max]
+	// delay clamp: the controller hit a wall and could not move.
+	FeedbackClamps uint64 `json:"feedback_clamps"`
+}
+
 // Sample is one virtual-time sample of a node's gauges and counters.
 // Counter fields are cumulative since the run started; CoalesceDelayNS
 // and QueueFrames are instantaneous gauges.
@@ -100,12 +118,7 @@ type Sample struct {
 	QueueFrames     int      `json:"queue_frames"`
 	PortDrops       uint64   `json:"port_drops"`
 	RingDrops       uint64   `json:"ring_drops"`
-	Retransmits     uint64   `json:"retransmits"`
-	Backoffs        uint64   `json:"backoffs"`
-	GiveUps         uint64   `json:"give_ups"`
-	PullRetries     uint64   `json:"pull_retries"`
-	FeedbackSteps   uint64   `json:"feedback_steps"`
-	FeedbackClamps  uint64   `json:"feedback_clamps"`
+	Proto
 
 	seq uint64 // shares the node's emission counter with events
 }

@@ -177,6 +177,35 @@ func TestSeriesExports(t *testing.T) {
 	}
 }
 
+// TestWriteCSV pins the encoder's column rules: JSON names in field
+// order, embedded structs flattened in place, and slices, unexported
+// fields and "-" fields left out.
+func TestWriteCSV(t *testing.T) {
+	type row struct {
+		Name  string `json:"name,omitempty"`
+		Ratio float64
+		trace.Proto
+		List  []int `json:"list"`
+		Skip  int   `json:"-"`
+		OK    bool  `json:"ok"`
+		note  string
+		Delay sim.Time `json:"t_ns"`
+	}
+	rows := []row{{
+		Name: "a,b", Ratio: 0.25, Proto: trace.Proto{Retransmits: 3, FeedbackClamps: 1},
+		List: []int{1}, Skip: 9, OK: true, note: "x", Delay: -5,
+	}}
+	var b bytes.Buffer
+	if err := trace.WriteCSV(&b, rows); err != nil {
+		t.Fatal(err)
+	}
+	want := "name,Ratio,retransmits,backoffs,give_ups,pull_retries,feedback_steps,feedback_clamps,ok,t_ns\n" +
+		"\"a,b\",0.25,3,0,0,0,0,1,true,-5\n"
+	if b.String() != want {
+		t.Errorf("WriteCSV =\n%s\nwant\n%s", b.String(), want)
+	}
+}
+
 // TestExportBytesIndependentOfWriteInterleaving is the unit-level half of
 // the par-determinism contract: two recorders holding identical per-node
 // streams produce byte-identical exports even when the global interleaving

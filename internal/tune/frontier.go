@@ -16,18 +16,14 @@
 //     toward at run time.
 //
 // All analysis is a pure function of sweep results, so equal inputs give
-// byte-identical JSON/CSV regardless of worker count or machine.
+// byte-identical JSON regardless of worker count or machine.
 package tune
 
 import (
-	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"sort"
-	"strconv"
-	"strings"
 
 	"openmxsim/internal/sweep"
 )
@@ -251,45 +247,4 @@ func (t *Tradeoff) WriteJSON(w io.Writer) error {
 	b = append(b, '\n')
 	_, err = w.Write(b)
 	return err
-}
-
-// tradeoffCSVHeader names the CSV columns, mirroring the sweep schema's
-// identity columns plus the tradeoff tags.
-var tradeoffCSVHeader = []string{
-	"index", "strategy", "delay_us", "size_bytes", "seed", "nodes",
-	"bg_streams", "latency_us", "load", "dominated", "knee", "error",
-}
-
-// WriteCSV writes the tagged points as comma-separated values with a
-// header row, in input order.
-func (t *Tradeoff) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(tradeoffCSVHeader); err != nil {
-		return err
-	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	for _, p := range t.Points {
-		cells := []string{
-			strconv.Itoa(p.Index), p.Strategy, f(p.DelayUS),
-			strconv.Itoa(p.SizeBytes), strconv.FormatUint(p.Seed, 10),
-			strconv.Itoa(p.Nodes), strconv.Itoa(p.BgStreams),
-			f(p.LatencyUS), f(p.Load),
-			strconv.FormatBool(p.Dominated), strconv.FormatBool(p.Knee),
-			p.Err,
-		}
-		if err := cw.Write(cells); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// CSV renders the analysis as a CSV string.
-func (t *Tradeoff) CSV() string {
-	var b strings.Builder
-	if err := t.WriteCSV(&b); err != nil {
-		return fmt.Sprintf("error: %v", err)
-	}
-	return b.String()
 }

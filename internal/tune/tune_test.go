@@ -7,7 +7,6 @@ import (
 	"errors"
 	"math"
 	"os"
-	"strings"
 	"testing"
 
 	"openmxsim/internal/nic"
@@ -102,16 +101,6 @@ func TestFrontierEmptyAndSerialization(t *testing.T) {
 	b, err := tr.JSON()
 	if err != nil || !bytes.Contains(b, []byte(`"points": []`)) {
 		t.Errorf("empty JSON = %s, %v", b, err)
-	}
-
-	tr = Frontier(sweep.Results{synth(0, "openmx", 25, 1.0, 10)})
-	csvStr := tr.CSV()
-	lines := strings.Split(strings.TrimSpace(csvStr), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("CSV has %d lines, want header + 1 row", len(lines))
-	}
-	if got, want := len(strings.Split(lines[1], ",")), len(tradeoffCSVHeader); got != want {
-		t.Errorf("CSV row has %d cells, header names %d", got, want)
 	}
 }
 

@@ -81,7 +81,8 @@ type Cluster = cluster.Cluster
 // round-robin IRQs, C1E sleep enabled.
 func PaperPlatform() Config { return cluster.Paper() }
 
-// NewCluster builds a testbed from cfg.
+// NewCluster builds a testbed from cfg. It panics when cfg fails
+// Config.Validate.
 func NewCluster(cfg Config) *Cluster { return cluster.New(cfg) }
 
 // DefaultParams returns the calibrated model parameter set; assign a
@@ -138,8 +139,10 @@ func PingPong(cfg Config, sizes []int, iters int) (map[int]Time, error) {
 }
 
 // MessageRate measures the sustained receiver-side message rate (msg/s)
-// for a unidirectional stream of size-byte messages; warmup <= 0 means
-// 10 ms and measure <= 0 means 50 ms.
+// for a unidirectional stream of size-byte messages from node 0 to node 1;
+// warmup <= 0 means 10 ms and measure <= 0 means 50 ms. cfg.Nodes below 2
+// is raised to 2. Like NewCluster on an invalid config, it panics when
+// size is negative.
 func MessageRate(cfg Config, size int, warmup, measure Time) float64 {
 	if warmup <= 0 {
 		warmup = 10 * Millisecond
