@@ -251,6 +251,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	grid, err := req.Grid()
+	if err == nil {
+		err = grid.Validate()
+	}
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
@@ -282,6 +285,9 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	spec, err := req.Spec()
+	if err == nil {
+		err = spec.Validate()
+	}
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return

@@ -413,18 +413,57 @@ func TestServerFailedJobRunsOnce(t *testing.T) {
 }
 
 // TestServerOversizedGridFails: a 400 KB body whose sizes and seeds each
-// repeat 100,000 values names 10^10 points. The job must end failed with
-// the sweep's point cap, and the server must keep serving.
+// repeat 100,000 values names 10^10 points. It must be refused at
+// submission with the sweep's point cap, without expanding the grid or
+// creating a job, and the server must keep serving.
 func TestServerOversizedGridFails(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{})
 	ones := strings.TrimSuffix(strings.Repeat("1,", 100_000), ",")
-	st := submit(t, ts, "/v1/sweep", "big", SweepRequest{Sizes: ones, Seeds: ones}, http.StatusAccepted)
-	fin := waitTerminal(t, ts, st.ID)
-	if fin.State != JobFailed || !strings.Contains(fin.Error, "want at most 65536") {
-		t.Fatalf("state = %s (%q), want failed carrying the point cap", fin.State, fin.Error)
+	resp, body := postJSON(t, ts.URL+"/v1/sweep", "big", SweepRequest{Sizes: ones, Seeds: ones})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "want at most 65536") {
+		t.Fatalf("POST = %d (%s), want 400 carrying the point cap", resp.StatusCode, body)
+	}
+	if n := jobCount(s); n != 0 {
+		t.Fatalf("%d jobs created for a refused body, want 0", n)
 	}
 	if resp, _ := getBody(t, ts.URL+"/healthz"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz = %d after the oversized job", resp.StatusCode)
+		t.Fatalf("healthz = %d after the oversized body", resp.StatusCode)
+	}
+}
+
+// jobCount is the number of jobs the server has created.
+func jobCount(s *Server) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.jobs)
+}
+
+// TestServerRefusesBodiesTheExecutorWould: a body that parses but names a
+// point the executor cannot build answers 400 with the executor's own
+// message, takes no queue slot and creates no job.
+func TestServerRefusesBodiesTheExecutorWould(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	cases := []struct {
+		name, path string
+		body       any
+		want       string
+	}{
+		{"sweep-one-node", "/v1/sweep", map[string]any{"nodes": "1"}, "invalid node count 1"},
+		{"sweep-too-many-nodes", "/v1/sweep", map[string]any{"nodes": "10000000"}, "invalid node count 10000000"},
+		{"sweep-bg-past-cap", "/v1/sweep", map[string]any{"nodes": "2", "bg": "0,4095"}, "invalid node count 4097"},
+		{"tune-one-node", "/v1/tune", map[string]any{"nodes": 1}, "node count 1"},
+		{"tune-too-many-nodes", "/v1/tune", map[string]any{"nodes": 10000000}, "node count 10000000"},
+		{"tune-bg-past-cap", "/v1/tune", map[string]any{"bg": 4095}, "4095 background streams"},
+		{"tune-weight", "/v1/tune", map[string]any{"weight": 2}, "latency weight 2"},
+	}
+	for _, c := range cases {
+		resp, body := postJSON(t, ts.URL+c.path, "c", c.body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), c.want) {
+			t.Errorf("%s: POST %s = %d (%s), want 400 naming %q", c.name, c.path, resp.StatusCode, body, c.want)
+		}
+	}
+	if n := jobCount(s); n != 0 {
+		t.Fatalf("%d jobs created for refused bodies, want 0", n)
 	}
 }
 

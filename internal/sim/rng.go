@@ -58,7 +58,15 @@ func (r *RNG) Jitter(mean, sd Time) Time {
 	if sd == 0 {
 		return mean
 	}
-	v := float64(mean) + r.normFloat64()*float64(sd)
+	u, s := r.polar()
+	// The variate has u's sign, so with mean <= 0 and sd > 0 a draw with
+	// u <= 0 clamps to 0 whatever its magnitude: the fabric's zero-mean
+	// wire jitter skips the log and square root for half its draws, and
+	// the stream consumes the same uniforms either way.
+	if mean <= 0 && sd > 0 && u <= 0 {
+		return 0
+	}
+	v := float64(mean) + polarScale(u, s)*float64(sd)
 	if v < 0 {
 		return 0
 	}
@@ -77,14 +85,22 @@ func (r *RNG) Exp(mean Time) Time {
 	return Time(-float64(mean) * math.Log(u))
 }
 
-// normFloat64 returns a standard normal variate (Box–Muller, one branch).
-func (r *RNG) normFloat64() float64 {
+// polar is the rejection loop of the Marsaglia polar method (Box–Muller,
+// one branch): a point (u, v) drawn uniformly in the unit disc, returned
+// as u and s = u² + v². polarScale(u, s) is a standard normal variate
+// with the sign of u.
+func (r *RNG) polar() (u, s float64) {
 	for {
-		u := 2*r.Float64() - 1
+		u = 2*r.Float64() - 1
 		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		s = u*u + v*v
 		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
+			return u, s
 		}
 	}
+}
+
+// polarScale maps a polar draw to its normal variate.
+func polarScale(u, s float64) float64 {
+	return u * math.Sqrt(-2*math.Log(s)/s)
 }

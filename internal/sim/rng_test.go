@@ -137,3 +137,65 @@ func TestBoolProbability(t *testing.T) {
 		t.Errorf("Bool(0.3) hit rate %.3f", frac)
 	}
 }
+
+// jitterPolar is Jitter as it was before the clamp shortcut: the full
+// polar draw, then scale, shift and clamp. TestJitterClampShortcutExact
+// holds Jitter to it value for value.
+func jitterPolar(r *RNG, mean, sd Time) Time {
+	if sd == 0 {
+		return mean
+	}
+	var n float64
+	for {
+		u := 2*r.Float64() - 1
+		v := 2*r.Float64() - 1
+		s := u*u + v*v
+		if s > 0 && s < 1 {
+			n = u * math.Sqrt(-2*math.Log(s)/s)
+			break
+		}
+	}
+	v := float64(mean) + n*float64(sd)
+	if v < 0 {
+		return 0
+	}
+	return Time(v)
+}
+
+// TestJitterClampShortcutExact checks that skipping the log and square
+// root for draws that clamp to zero changes no value and no stream: each
+// case draws 10^6 values from Jitter and from the full formula on equal
+// seeds, and both the values and the final generator states must match.
+func TestJitterClampShortcutExact(t *testing.T) {
+	cases := []struct {
+		name     string
+		mean, sd Time
+	}{
+		{"zero-mean", 0, 150},
+		{"positive-mean", 400, 150},
+		{"negative-mean", -200, 150},
+		{"zero-mean-negative-sd", 0, -150},
+		{"zero-sd", 300, 0},
+	}
+	const draws = 1_000_000
+	for i, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			seed := uint64(100 + i)
+			got, want := NewRNG(seed), NewRNG(seed)
+			zeros := 0
+			for k := 0; k < draws; k++ {
+				g, w := got.Jitter(c.mean, c.sd), jitterPolar(want, c.mean, c.sd)
+				if g != w {
+					t.Fatalf("draw %d: Jitter(%d, %d) = %d, full formula %d", k, c.mean, c.sd, g, w)
+				}
+				if g == 0 {
+					zeros++
+				}
+			}
+			if got.state != want.state {
+				t.Fatalf("generator state %#x after %d draws, full formula %#x", got.state, draws, want.state)
+			}
+			t.Logf("%d of %d draws clamped to 0", zeros, draws)
+		})
+	}
+}

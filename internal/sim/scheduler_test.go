@@ -240,10 +240,12 @@ func TestSchedulerEquivalenceRandom(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			tw := newTwin()
 			id := 0
-			// Delay scales: same-instant, sub-µs (level 0), tens of µs
-			// (level 1), tens of ms (level 2), and > level-2 horizon
-			// (overflow heap).
-			scales := []int64{0, 1 << 6, 1 << 14, 1 << 25, 1 << 37}
+			// Delay scales: same-instant, within one level-0 slot (or
+			// into the next), a few level-0 slots, level 0's whole span,
+			// level 1, level 2, and past the level-2 horizon (overflow
+			// heap).
+			scales := []int64{0, 1 << l0Shift, 1 << (l0Shift + 6), 1 << l1Shift,
+				1 << (l1Shift + 4), 1 << (l2Shift + 4), 1 << (topShift + 3)}
 			// Cross-shard keys: pri 0 plus a few keys, drawn with
 			// repetition so equal (at, pri) pairs fall back to seq.
 			pris := []uint64{0, 1, 2, 5}
@@ -317,7 +319,7 @@ func TestSchedulerEquivalenceRandom(t *testing.T) {
 // across Schedule and ScheduleArg, scheduled from different epochs.
 func TestSchedulerEquivalenceSameInstantStorm(t *testing.T) {
 	tw := newTwin()
-	const at = 1 << 20 // lives at level 1/2 when scheduled from t=0
+	const at = 4 << l1Shift // lives at level 1 when scheduled from t=0
 	for id := 1; id <= 64; id++ {
 		id := id
 		for i, e := range tw.engines {
@@ -348,7 +350,7 @@ func TestSchedulerEquivalenceSameInstantStorm(t *testing.T) {
 // same-timestamp FIFO and interleaved near-term events.
 func TestWheelOverflowReanchor(t *testing.T) {
 	tw := newTwin()
-	far := Time(1) << 40 // well past the level-2 horizon
+	far := Time(1) << (topShift + 2) // well past the level-2 horizon
 	for id := 1; id <= 10; id++ {
 		tw.schedule(id, far+Time(id%3)*1000, false)
 	}
@@ -365,13 +367,30 @@ func TestWheelOverflowReanchor(t *testing.T) {
 // cancelled events are all discarded (Pending drains to zero).
 func TestWheelCancelAcrossLevels(t *testing.T) {
 	tw := newTwin()
-	delays := []Time{5, 100, 1 << 13, 1 << 20, 1 << 30, 1 << 40}
+	// Scheduled from t=0: two delays in level 0's first slot, then level
+	// 0's next slot and far end, levels 1 and 2, and the overflow heap
+	// (level index wheelLevels).
+	delays := []struct {
+		d     Time
+		level int
+	}{
+		{5, 0},
+		{1<<l0Shift - 3, 0},
+		{1<<l0Shift + 5, 0},
+		{1<<l1Shift - 7, 0},
+		{1 << (l1Shift + 2), 1},
+		{1 << (l2Shift + 2), 2},
+		{1 << (topShift + 2), wheelLevels},
+	}
 	id := 0
-	for _, d := range delays {
+	for _, c := range delays {
 		id++
-		tw.schedule(id, d, false) // survivor
+		tw.schedule(id, c.d, false) // survivor
+		if got := parkedLevel(tw.engines[0].(*Engine).wheel, tw.pending[0][len(tw.pending[0])-1]); got != c.level {
+			t.Fatalf("delay %d parked at level %d, want %d", c.d, got, c.level)
+		}
 		id++
-		tw.schedule(id, d, false) // cancelled below
+		tw.schedule(id, c.d, false) // cancelled below
 		tw.cancel(len(tw.pending[0]) - 1)
 	}
 	tw.engines[0].Run()
@@ -388,22 +407,30 @@ func TestWheelCancelAcrossLevels(t *testing.T) {
 // TestWheelRunUntilHorizonThenEarlierSchedule pins the peek/popLE safety
 // property: probing far past the next event must not let a later push land
 // behind the wheel's cursor state. RunUntil stops short, a new earlier
-// event arrives, and it must still fire first.
+// event arrives, and it must still fire first. The horizon falls on a
+// level-1 slot boundary in one case and inside a level-0 slot, with the
+// earlier event in that same slot, in the other.
 func TestWheelRunUntilHorizonThenEarlierSchedule(t *testing.T) {
 	t.Run("wheel", func(t *testing.T) {
-		e := NewEngine()
-		var got []Time
-		log := func() { got = append(got, e.Now()) }
-		e.Schedule(1<<21, log) // parked at a high level
-		e.RunUntil(1 << 18)    // probes far ahead, fires nothing
-		if e.Now() != 1<<18 {
-			t.Fatalf("Now = %d after RunUntil", e.Now())
-		}
-		e.Schedule(1<<18+5, log) // earlier than the parked event
-		e.Run()
-		want := []Time{1<<18 + 5, 1 << 21}
-		if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-			t.Fatalf("fired at %v, want %v", got, want)
+		parked := Time(1) << (l1Shift + 3) // level 1 from t=0
+		for _, horizon := range []Time{1 << (l1Shift + 1), 1<<(l1Shift+1) + 1<<l0Shift + 17} {
+			e := NewEngine()
+			var got []Time
+			log := func() { got = append(got, e.Now()) }
+			ev := e.Schedule(parked, log)
+			if l := parkedLevel(e.wheel, ev); l != 1 {
+				t.Fatalf("event at %d parked at level %d, want 1", parked, l)
+			}
+			e.RunUntil(horizon) // probes far ahead, fires nothing
+			if e.Now() != horizon {
+				t.Fatalf("Now = %d after RunUntil(%d)", e.Now(), horizon)
+			}
+			e.Schedule(horizon+5, log) // earlier than the parked event
+			e.Run()
+			want := []Time{horizon + 5, parked}
+			if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+				t.Fatalf("horizon %d: fired at %v, want %v", horizon, got, want)
+			}
 		}
 	})
 }
@@ -415,15 +442,23 @@ func TestWheelRunUntilHorizonThenEarlierSchedule(t *testing.T) {
 // backs NewEngine.
 func TestSchedulersZeroAllocSteadyState(t *testing.T) {
 	t.Run("wheel", func(t *testing.T) {
+		// span0 is level 0's span: an event at least this far ahead of
+		// the clock parks at level 1 or above.
+		const span0 = Time(1) << l1Shift
 		e := NewEngine()
 		fn := func() {}
 		for i := 0; i < 64; i++ { // warm free list and structures
-			e.After(Time(i)*30000, fn)
+			e.After(Time(i)*span0/8, fn)
+		}
+		for e.Step() {
+		}
+		if l := parkedLevel(e.wheel, e.After(span0+span0/4, fn)); l != 1 {
+			t.Fatalf("timer 1.25 level-0 spans out parked at level %d, want 1", l)
 		}
 		for e.Step() {
 		}
 		if got := testing.AllocsPerRun(1000, func() {
-			e.After(40000, fn) // parks at level 1, cascades on pop
+			e.After(span0+span0/4, fn) // parks at level 1
 			e.After(3, fn)
 			e.Step()
 			e.Step()
@@ -431,10 +466,10 @@ func TestSchedulersZeroAllocSteadyState(t *testing.T) {
 			t.Fatalf("cross-level Schedule+Step allocates %v objects/op in steady state, want 0", got)
 		}
 		if got := testing.AllocsPerRun(1000, func() {
-			e.After(50000, fn).Cancel()
+			e.After(span0+span0/4, fn).Cancel()
 			e.After(1, fn)
 			e.Step()
-			e.RunUntil(e.Now() + 60000) // discards the cancelled timer
+			e.RunUntil(e.Now() + span0 + span0/2) // discards the cancelled timer
 		}); got != 0 {
 			t.Fatalf("cancel+discard allocates %v objects/op in steady state, want 0", got)
 		}

@@ -5,27 +5,37 @@ import "math/bits"
 // The timing wheel is a 3-level hierarchical calendar queue sized to the
 // simulation's dominant horizons:
 //
-//	level 0: 4096 slots x 1 ns      — horizon ~4 µs   (wire/NIC events)
-//	level 1: 1024 slots x ~4 µs     — horizon ~4.2 ms (coalescing timers)
-//	level 2: 1024 slots x ~4.2 ms   — horizon ~4.3 s  (app/NAS phases)
+//	level 0: 4096 slots x 64 ns     — horizon ~262 µs (wire/NIC events, coalescing timers)
+//	level 1: 1024 slots x ~262 µs   — horizon ~268 ms (resend timers, app phases)
+//	level 2: 1024 slots x ~268 ms   — horizon ~275 s  (long runs)
 //
 // The level-0 span is chosen from the measured push-delta distribution of
-// the repository's workloads: ~80% of all events are scheduled less than
-// 4 µs ahead of the clock (wire, DMA, IRQ and protocol steps), so the wide
-// bottom level places the vast majority of events in O(1) with no cascade
-// at all, while 25–750 µs coalescing timers settle one level up. The upper
+// the repository's workloads: most events are scheduled a few ns to a few
+// µs ahead of the clock (wire, DMA, IRQ and protocol steps), and the 15–75
+// µs coalescing delays the paper sweeps come next. A 262 µs bottom level
+// files 93–96% of all events in O(1) with no cascade at all; a span of a
+// few µs would send every coalescing timer, and every wire event that
+// crosses an aligned boundary of that span, through level 1. The upper
 // levels carry far fewer events and stay narrow to keep the wheel's
 // footprint — which the garbage collector scans, since slots anchor event
 // pointers — small. Events beyond the level-2 horizon wait in a 4-ary
 // overflow heap and are demoted into the wheels when the cursor's level-2
 // epoch advances.
 //
+// A level-0 slot can be wider than 1 ns because every level-0 insertion
+// is (at, pri, seq) ordered (invariant 2 below), so the slot width does
+// not affect pop order: it trades cascades, which a narrow level 0 causes,
+// for longer slot lists. At 64 ns the densest workload, 63 lockstep
+// senders into one switch port, puts about 25 events in a slot, and its
+// out-of-order arrivals are placed by walking back from the slot's tail,
+// near which they almost always belong.
+//
 // # Geometry
 //
 // All levels are powers of two, so placement is pure bit arithmetic. A
 // timestamp's level-l slot index is (at >> shift_l) & mask_l and its
-// level-l "epoch" is at >> shift_(l+1), with shifts 0/12/22 and a top
-// shift of 32. Within one level-(l+1) epoch the level-l slot indexes are
+// level-l "epoch" is at >> shift_(l+1), with shifts 6/18/28 and a top
+// shift of 38. Within one level-(l+1) epoch the level-l slot indexes are
 // monotone in time (they span their full range exactly once, in order), so
 // a forward bitmap scan visits slots in timestamp order and the wheel
 // never wraps within an epoch — there is no modular aliasing to resolve.
@@ -38,17 +48,21 @@ import "math/bits"
 //  1. Placement is monotone: an event is inserted at the lowest level whose
 //     current epoch (relative to the cursor) contains its timestamp, and
 //     cascades only move events downward when the cursor reaches their
-//     epoch. A level-0 slot therefore holds events of exactly one timestamp
-//     (plus possibly stale cancelled leftovers from earlier rotations), so
-//     slot order at level 0 is (at, pri, seq) order.
+//     epoch. Within the cursor's level-0 epoch, slot indexes are therefore
+//     ordered by timestamp range: every event in an earlier slot precedes
+//     every event in a later one, and a level-0 slot holds nothing from
+//     another epoch (cancelled leftovers are trimmed before the cursor
+//     leaves a slot).
 //  2. Level-0 slots are explicitly ordered: every insertion into level 0 —
 //     direct push, cascade, overflow drain — goes through an (at, pri, seq)
-//     ordered insert (see evList.insertOrdered), so the slot head is always
-//     the slot minimum regardless of arrival order. In an all-pri-0 run
-//     arrivals are already in seq order (pushes carry monotonically
-//     increasing seq, cascades preserve list order, and the overflow heap
-//     drains in order), so the insert degenerates to the historical O(1)
-//     FIFO append.
+//     ordered insert (see evList.insertOrdered), so each slot list is
+//     sorted and its head is the slot minimum regardless of arrival order.
+//     A slot spans 64 timestamps, so this is what orders events within it;
+//     together with invariant 1 the first live head in slot order is the
+//     queue minimum. Arrivals mostly come in order (pushes carry
+//     monotonically increasing seq, most events of a slot are scheduled
+//     in time order, cascades preserve list order and the overflow heap
+//     drains in order), so the insert is usually an O(1) append.
 //  3. The cursor never outruns the commit point: it advances to a popped
 //     event's timestamp, or to a RunUntil horizon t that the engine then
 //     adopts as now, and cascades only touch slots that start at or before
@@ -56,20 +70,24 @@ import "math/bits"
 //     lands relative to a cursor that is <= every live timestamp; a search
 //     that comes up empty (queue drained, or only cancelled events left)
 //     may release cancelled events but moves no live event and leaves the
-//     cursor untouched.
+//     cursor untouched. The cursor may stop inside a slot: events of that
+//     slot that precede it have all been popped, and later pushes into
+//     the slot are ordered in by invariant 2.
 //
 // # Cost model
 //
-// push is O(1): three epoch compares, a list append, a bitmap OR. popLE is
-// amortized O(1): same-instant bursts drain from the cursor's slot without
-// rescanning (the slot's bit stays set while events remain — this is what
-// batches same-timestamp dispatch in Engine.Step and RunUntil), gaps are
-// crossed with a two-level bitmap (one summary word of non-empty 64-slot
-// groups per level, then one trailing-zeros scan), a sparse slot pops
-// directly from its level without cascading (takeSingle), and each event
-// otherwise cascades at most twice on its way down. The overflow heap only
-// sees events more than ~4 virtual seconds ahead, which no workload in the
-// repository does.
+// push is O(1) for in-order arrivals: three epoch compares, a list append,
+// a bitmap OR. An arrival that precedes events already in its slot walks
+// back from the tail over the events it precedes, at most the slot's
+// occupancy. popLE is amortized O(1): same-slot bursts drain from the
+// cursor's slot without rescanning (the slot's bit stays set while events
+// remain — this is what batches dispatch in Engine.Step and RunUntil),
+// gaps are crossed with a two-level bitmap (one summary word of non-empty
+// 64-slot groups per level, then one trailing-zeros scan), a sparse slot
+// pops directly from its level without cascading (takeSingle), and each
+// event otherwise cascades at most twice on its way down. The overflow
+// heap only sees events more than ~275 virtual seconds ahead, which no
+// workload in the repository does.
 type Wheel struct {
 	// cur is the committed cursor: every live event with at < cur has been
 	// popped. It only advances when popLE returns an event or a bounded
@@ -97,20 +115,24 @@ const (
 	l0Mask  = l0Slots - 1
 	l1Mask  = l1Slots - 1
 	l2Mask  = l2Slots - 1
-	// lNShift positions a level's slot index within a timestamp; topShift
-	// is the level-2 epoch boundary, past which events overflow to the
-	// heap.
-	l1Shift  = l0Bits
-	l2Shift  = l0Bits + l1Bits
-	topShift = l0Bits + l1Bits + l2Bits
+	// lNShift positions a level's slot index within a timestamp: a
+	// level-0 slot is 1<<l0Shift ns wide. topShift is the level-2 epoch
+	// boundary, past which events overflow to the heap.
+	l0Shift  = 6
+	l1Shift  = l0Shift + l0Bits
+	l2Shift  = l1Shift + l1Bits
+	topShift = l2Shift + l2Bits
 
 	// maxHorizon disables the horizon guards: no simulated timestamp
 	// reaches it (it is ~146 years of virtual nanoseconds).
 	maxHorizon = Time(1) << 62
 )
 
-// evList is an intrusive FIFO of events threaded through Event.next, so
-// slot membership costs no allocation and no slice growth.
+// evList is an intrusive list of events threaded through Event.next, so
+// slot membership costs no allocation and no slice growth. Level-0 lists
+// also keep Event.prev, for insertOrdered's backward walk; the head's prev
+// is always nil there. Higher levels only append, drain and unlink
+// forward, and leave prev stale.
 type evList struct {
 	head, tail *Event
 }
@@ -126,30 +148,45 @@ func (q *evList) pushBack(ev *Event) {
 	q.tail = ev
 }
 
-// insertOrdered places ev in (at, pri, seq) order. The fast path — ev not
-// before the current tail — is a plain append, which is every insertion in
-// an all-pri-0 simulation (level-0 slots hold a single timestamp and events
-// arrive in seq order). Only cross-shard events (pri > 0) landing among
-// same-instant peers ever take the scan, and a level-0 slot holds a handful
-// of events at most.
+// insertOrdered places ev in (at, pri, seq) order, after the last event
+// that does not follow it. The walk starts at the tail: arrivals are
+// mostly in order, so the common case is a plain append, and an event
+// that precedes some of its slot usually precedes only the last few.
 //
 //omxlint:hotpath
 func (q *evList) insertOrdered(ev *Event) {
-	if q.tail == nil || !before(ev, q.tail) {
-		q.pushBack(ev)
-		return
+	p := q.tail
+	for p != nil && before(ev, p) {
+		p = p.prev
 	}
-	if before(ev, q.head) {
+	ev.prev = p
+	if p == nil {
 		ev.next = q.head
 		q.head = ev
-		return
+	} else {
+		ev.next = p.next
+		p.next = ev
 	}
-	p := q.head
-	for !before(ev, p.next) {
-		p = p.next
+	if ev.next == nil {
+		q.tail = ev
+	} else {
+		ev.next.prev = ev
 	}
-	ev.next = p.next
-	p.next = ev
+}
+
+// popFront unlinks the head of a level-0 list and reports whether the
+// list is now empty.
+//
+//omxlint:hotpath
+func (q *evList) popFront() bool {
+	next := q.head.next
+	q.head = next
+	if next == nil {
+		q.tail = nil
+		return true
+	}
+	next.prev = nil
+	return false
 }
 
 // newWheel returns an empty timing wheel that recycles discarded events
@@ -206,9 +243,9 @@ func (w *Wheel) findBit(level, from int) int {
 
 // put files an event into a slot. Level-0 slots are kept in full (at, pri,
 // seq) order — they are what popLE drains head-first — while the higher
-// levels stay FIFO: their slots are only ever redistributed (cascade),
-// popped when they hold a single event (takeSingle), or min-scanned in full
-// (peekSlotMin), none of which needs a sorted list.
+// levels stay in arrival order: their slots are only ever redistributed
+// (cascade), popped when they hold a single event (takeSingle), or
+// min-scanned in full (peekSlotMin), none of which needs a sorted list.
 //
 //omxlint:hotpath
 func (w *Wheel) put(level, idx int, ev *Event) {
@@ -229,7 +266,7 @@ func (w *Wheel) place(base Time, ev *Event) {
 	at := ev.at
 	switch {
 	case at>>l1Shift == base>>l1Shift:
-		w.put(0, int(at&l0Mask), ev)
+		w.put(0, int((at>>l0Shift)&l0Mask), ev)
 	case at>>l2Shift == base>>l2Shift:
 		w.put(1, int((at>>l1Shift)&l1Mask), ev)
 	case at>>topShift == base>>topShift:
@@ -250,8 +287,8 @@ func (w *Wheel) push(ev *Event) {
 }
 
 // cascade redistributes a level-1 or level-2 slot one level down, releasing
-// cancelled events instead of moving them. List order is preserved, which
-// keeps per-timestamp FIFO order intact.
+// cancelled events instead of moving them. List order is preserved, so
+// events mostly reach their level-0 slot in order and append.
 //
 //omxlint:hotpath
 func (w *Wheel) cascade(level, idx int) {
@@ -266,7 +303,7 @@ func (w *Wheel) cascade(level, idx int) {
 			w.n--
 			w.eng.release(ev)
 		case level == 1:
-			w.put(0, int(ev.at&l0Mask), ev)
+			w.put(0, int((ev.at>>l0Shift)&l0Mask), ev)
 		default:
 			w.put(1, int((ev.at>>l1Shift)&l1Mask), ev)
 		}
@@ -284,10 +321,10 @@ func (w *Wheel) cascade(level, idx int) {
 func (w *Wheel) popLE(t Time) *Event {
 	lc := w.cur // local cursor; committed only at a pop or proven horizon
 	for {
-		// Level 0: within lc's epoch each set slot holds one timestamp in
-		// FIFO order, so the first live event in index order is the global
-		// minimum.
-		for idx := w.findBit(0, int(lc&l0Mask)); idx >= 0; idx = w.findBit(0, idx+1) {
+		// Level 0: within lc's epoch the set slots are ordered by time
+		// and each holds its events in (at, pri, seq) order, so the first
+		// live event in index order is the global minimum.
+		for idx := w.findBit(0, int((lc>>l0Shift)&l0Mask)); idx >= 0; idx = w.findBit(0, idx+1) {
 			q := &w.slots[0][idx]
 			for ev := q.head; ev != nil; ev = q.head {
 				live := !ev.cancelled
@@ -297,9 +334,7 @@ func (w *Wheel) popLE(t Time) *Event {
 					}
 					return nil
 				}
-				q.head = ev.next
-				if q.head == nil {
-					q.tail = nil
+				if q.popFront() {
 					w.clearBit(0, idx)
 				}
 				w.n--
@@ -386,10 +421,9 @@ func (w *Wheel) popLE(t Time) *Event {
 			return nil
 		}
 		// Drain the minimum's whole level-2 epoch into the wheels. Heap
-		// pops arrive in (at, seq) order, so same-timestamp events append
-		// to their slots in seq order; placement is relative to the epoch
-		// start, which is <= m.at and therefore <= every commit that
-		// follows.
+		// pops arrive in (at, pri, seq) order, so events append to their
+		// slots in order; placement is relative to the epoch start, which
+		// is <= m.at and therefore <= every commit that follows.
 		lc = m.at &^ (1<<topShift - 1)
 		for {
 			top := w.over.peek()
@@ -451,7 +485,7 @@ func (w *Wheel) takeSingle(level, idx int, t Time) *Event {
 // and be missed.
 func (w *Wheel) peek() *Event {
 	lc := w.cur
-	for idx := w.findBit(0, int(lc&l0Mask)); idx >= 0; idx = w.findBit(0, idx+1) {
+	for idx := w.findBit(0, int((lc>>l0Shift)&l0Mask)); idx >= 0; idx = w.findBit(0, idx+1) {
 		if ev := w.peekSlot0(idx); ev != nil {
 			return ev
 		}
@@ -489,9 +523,7 @@ func (w *Wheel) peekSlot0(idx int) *Event {
 		if !ev.cancelled {
 			return ev
 		}
-		q.head = ev.next
-		if q.head == nil {
-			q.tail = nil
+		if q.popFront() {
 			w.clearBit(0, idx)
 		}
 		w.n--

@@ -43,37 +43,9 @@ func Run(g Grid, workers int) (Results, error) {
 // observes every completed result as it lands (see Observer).
 func RunContext(ctx context.Context, g Grid, workers int, obs Observer) (Results, error) {
 	g = g.normalized()
-	// Checked before Points() allocates the expansion: a request body
-	// under a megabyte can name billions of points.
-	if n := g.Size(); n > maxPoints {
-		return nil, fmt.Errorf("sweep: grid expands to %d points: want at most %d", n, maxPoints)
-	}
-	pts := g.Points() // never empty: normalized() fills every axis
-	// Rejections mirror cluster.Config.Validate's shape — "invalid <field>
-	// <value>: want <range>" — so a bad axis value in a wide grid is
-	// pinpointed by value, not hunted by position.
-	for _, p := range pts {
-		if p.Size < 0 {
-			return nil, fmt.Errorf("sweep: point %d: invalid message size %d B: want >= 0", p.Index, p.Size)
-		}
-		if p.BgStreams < 0 {
-			return nil, fmt.Errorf("sweep: point %d: invalid background stream count %d: want >= 0", p.Index, p.BgStreams)
-		}
-		// normalized() fills an empty Nodes axis with the default, so any
-		// sub-2 value here was explicit user input, not "unset".
-		if p.Nodes < 2 {
-			return nil, fmt.Errorf("sweep: point %d: invalid node count %d: want >= 2 (the ping-pong needs two nodes)", p.Index, p.Nodes)
-		}
-		// Written so that NaN fails too.
-		if !(p.DropProb >= 0 && p.DropProb < 1) {
-			return nil, fmt.Errorf("sweep: point %d: invalid drop probability %g: want [0,1)", p.Index, p.DropProb)
-		}
-		if !(p.Burst >= 0) || math.IsInf(p.Burst, 1) {
-			return nil, fmt.Errorf("sweep: point %d: invalid burst length %g: want >= 0 and finite", p.Index, p.Burst)
-		}
-		if err := p.Config().Validate(); err != nil {
-			return nil, fmt.Errorf("sweep: point %d: %w", p.Index, err)
-		}
+	pts, err := g.validPoints()
+	if err != nil {
+		return nil, err
 	}
 	workers = g.workerBudget(workers)
 	if g.Trace != nil {
@@ -145,6 +117,52 @@ func cancelledResult(p Point, cause error) Result {
 	res := p.result(p.Config().Nodes)
 	res.Err = fmt.Sprintf("cancelled: %v", cause)
 	return res
+}
+
+// Validate returns the error RunContext would return for g before running
+// any point: a grid that expands to more than 65,536 points, or a point
+// whose settings cannot build a cluster. A front door calls it to refuse
+// such a grid up front instead of queueing a run that cannot start.
+func (g Grid) Validate() error {
+	_, err := g.normalized().validPoints()
+	return err
+}
+
+// validPoints expands a normalized grid and checks every point.
+func (g Grid) validPoints() ([]Point, error) {
+	// Checked before Points() allocates the expansion: a request body
+	// under a megabyte can name billions of points.
+	if n := g.Size(); n > maxPoints {
+		return nil, fmt.Errorf("sweep: grid expands to %d points: want at most %d", n, maxPoints)
+	}
+	pts := g.Points() // never empty: normalized() fills every axis
+	// Rejections mirror cluster.Config.Validate's shape — "invalid <field>
+	// <value>: want <range>" — so a bad axis value in a wide grid is
+	// pinpointed by value, not hunted by position.
+	for _, p := range pts {
+		if p.Size < 0 {
+			return nil, fmt.Errorf("sweep: point %d: invalid message size %d B: want >= 0", p.Index, p.Size)
+		}
+		if p.BgStreams < 0 {
+			return nil, fmt.Errorf("sweep: point %d: invalid background stream count %d: want >= 0", p.Index, p.BgStreams)
+		}
+		// normalized() fills an empty Nodes axis with the default, so any
+		// sub-2 value here was explicit user input, not "unset".
+		if p.Nodes < 2 {
+			return nil, fmt.Errorf("sweep: point %d: invalid node count %d: want >= 2 (the ping-pong needs two nodes)", p.Index, p.Nodes)
+		}
+		// Written so that NaN fails too.
+		if !(p.DropProb >= 0 && p.DropProb < 1) {
+			return nil, fmt.Errorf("sweep: point %d: invalid drop probability %g: want [0,1)", p.Index, p.DropProb)
+		}
+		if !(p.Burst >= 0) || math.IsInf(p.Burst, 1) {
+			return nil, fmt.Errorf("sweep: point %d: invalid burst length %g: want >= 0 and finite", p.Index, p.Burst)
+		}
+		if err := p.Config().Validate(); err != nil {
+			return nil, fmt.Errorf("sweep: point %d: %w", p.Index, err)
+		}
+	}
+	return pts, nil
 }
 
 // workerBudget resolves the worker-pool size for the normalized grid g:

@@ -387,7 +387,8 @@ func TestSerializationShape(t *testing.T) {
 
 // TestRunValidationMessages pins the rejection style shared with
 // cluster.Config.Validate: every message names the offending point, the
-// offending value, and the valid range.
+// offending value, and the valid range. Grid.Validate must refuse the
+// same grids with the same error, before anything runs.
 func TestRunValidationMessages(t *testing.T) {
 	cases := []struct {
 		name string
@@ -417,6 +418,12 @@ func TestRunValidationMessages(t *testing.T) {
 			if !strings.Contains(err.Error(), "point 0") {
 				t.Errorf("error %q does not name the offending point", err)
 			}
+			if verr := tc.grid.Validate(); verr == nil || verr.Error() != err.Error() {
+				t.Errorf("Validate = %v, want Run's error %q", verr, err)
+			}
 		})
+	}
+	if err := (Grid{}).Validate(); err != nil {
+		t.Errorf("the default grid fails Validate: %v", err)
 	}
 }

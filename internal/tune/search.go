@@ -8,6 +8,7 @@ import (
 	"math"
 	"sort"
 
+	"openmxsim/internal/cluster"
 	"openmxsim/internal/nic"
 	"openmxsim/internal/sim"
 	"openmxsim/internal/sweep"
@@ -144,6 +145,14 @@ func (s Spec) Validate() error {
 	}
 	if s.Nodes != 0 && s.Nodes < 2 {
 		return fmt.Errorf("tune: node count %d (the ping-pong needs two nodes)", s.Nodes)
+	}
+	if s.Nodes > cluster.MaxNodes {
+		return fmt.Errorf("tune: node count %d: want at most %d", s.Nodes, cluster.MaxNodes)
+	}
+	// Each background stream takes a node of its own beside the ping-pong
+	// pair (sweep.Point.Config).
+	if s.BgStreams > cluster.MaxNodes-2 {
+		return fmt.Errorf("tune: %d background streams: want at most %d (each takes a node)", s.BgStreams, cluster.MaxNodes-2)
 	}
 	for _, st := range s.Strategies {
 		if !st.Known() {

@@ -9,6 +9,7 @@ import (
 	"os"
 	"testing"
 
+	"openmxsim/internal/cluster"
 	"openmxsim/internal/nic"
 	"openmxsim/internal/sim"
 	"openmxsim/internal/sweep"
@@ -118,10 +119,22 @@ func TestSpecValidation(t *testing.T) {
 		{DropProb: 0.02, Burst: nan},
 		{DropProb: 0.02, Burst: inf},
 		{DropProb: 0.02, Burst: -inf},
+		// Past cluster.MaxNodes, directly or through the node each
+		// background stream adds.
+		{Nodes: cluster.MaxNodes + 1},
+		{BgStreams: cluster.MaxNodes - 1},
 	}
 	for i, spec := range cases {
+		if err := spec.Validate(); err == nil {
+			t.Errorf("case %d: Validate accepted an invalid spec: %+v", i, spec)
+		}
 		if _, err := Search(spec); err == nil {
 			t.Errorf("case %d: invalid spec accepted: %+v", i, spec)
+		}
+	}
+	for _, spec := range []Spec{{Nodes: cluster.MaxNodes}, {BgStreams: cluster.MaxNodes - 2}} {
+		if err := spec.Validate(); err != nil {
+			t.Errorf("Validate refused a spec at the node cap: %+v: %v", spec, err)
 		}
 	}
 }
