@@ -70,20 +70,30 @@ func TestBadFlagsExitOne(t *testing.T) {
 }
 
 // TestJSONGolden pins omxsim's -json output for each workload byte for
-// byte against testdata/<name>.json, so a change that reroutes a workload
-// through another harness cannot move its numbers unnoticed.
+// byte against testdata/<golden>.json (<name>.json when golden is empty),
+// so a change that reroutes a workload through another harness cannot move
+// its numbers unnoticed. The lossy incast pins a port whose jitter and
+// send-side fault draws share one stream while frames wait in its queue;
+// the -par 2 cases must print the serial bytes.
 func TestJSONGolden(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		args []string
+		name, golden string
+		args         []string
 	}{
-		{"pingpong", []string{"-workload", "pingpong", "-json"}},
-		{"rate", []string{"-workload", "rate", "-json"}},
-		{"incast", []string{"-workload", "incast", "-nodes", "9", "-qframes", "64", "-json"}},
-		{"nas", []string{"-workload", "nas", "-bench", "is", "-class", "S", "-ranks", "4", "-json"}},
+		{"pingpong", "", []string{"-workload", "pingpong", "-json"}},
+		{"rate", "", []string{"-workload", "rate", "-json"}},
+		{"rate-par2", "rate", []string{"-workload", "rate", "-par", "2", "-json"}},
+		{"incast", "", []string{"-workload", "incast", "-nodes", "9", "-qframes", "64", "-json"}},
+		{"incast-lossy", "", []string{"-workload", "incast", "-nodes", "16", "-qframes", "8", "-drop", "0.01", "-json"}},
+		{"nas", "", []string{"-workload", "nas", "-bench", "is", "-class", "S", "-ranks", "4", "-json"}},
+		{"nas-par2", "nas", []string{"-workload", "nas", "-bench", "is", "-class", "S", "-ranks", "4", "-par", "2", "-json"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			want, err := os.ReadFile(filepath.Join("testdata", tc.name+".json"))
+			golden := tc.golden
+			if golden == "" {
+				golden = tc.name
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", golden+".json"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,7 +104,7 @@ func TestJSONGolden(t *testing.T) {
 				t.Fatalf("%q: %v", tc.args, err)
 			}
 			if !bytes.Equal(got, want) {
-				t.Errorf("%q output differs from testdata/%s.json:\n got %s\nwant %s", tc.args, tc.name, got, want)
+				t.Errorf("%q output differs from testdata/%s.json:\n got %s\nwant %s", tc.args, golden, got, want)
 			}
 		})
 	}
