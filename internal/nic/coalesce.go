@@ -70,9 +70,6 @@ func ParseStrategy(name string) (Strategy, error) {
 // coalescer is the per-queue firmware decision logic.
 type coalescer interface {
 	Name() string
-	// inspectsMarkers reports whether the firmware reads the
-	// latency-sensitive flag (only the paper's modified firmwares do).
-	inspectsMarkers() bool
 	// onDMAComplete runs when a packet's DMA finishes; pending is the
 	// number of other frames accepted but not yet DMA-complete.
 	onDMAComplete(d *RxDesc, pending int)
@@ -147,6 +144,10 @@ type rxQueue struct {
 	completed sim.Queue[*RxDesc]
 	masked    bool
 	coal      coalescer
+	// markers is set when the firmware reads the latency-sensitive flag,
+	// and fw is its per-packet work; both follow from the strategy.
+	markers bool
+	fw      sim.Time
 
 	pollCore    *host.Core
 	polled      int
@@ -160,8 +161,7 @@ type rxQueue struct {
 // disabledCoalescer: interrupt per packet.
 type disabledCoalescer struct{ q *rxQueue }
 
-func (c *disabledCoalescer) Name() string          { return "disabled" }
-func (c *disabledCoalescer) inspectsMarkers() bool { return false }
+func (c *disabledCoalescer) Name() string { return "disabled" }
 
 //omxlint:hotpath
 func (c *disabledCoalescer) onDMAComplete(d *RxDesc, pending int) {
@@ -196,7 +196,6 @@ func (c *timeoutCoalescer) bindTimer() {
 func (c *timeoutCoalescer) Name() string {
 	return fmt.Sprintf("timeout(%dus)", c.delay/sim.Microsecond)
 }
-func (c *timeoutCoalescer) inspectsMarkers() bool { return false }
 
 //omxlint:hotpath
 func (c *timeoutCoalescer) onDMAComplete(d *RxDesc, pending int) { c.arm() }
@@ -227,8 +226,7 @@ func (c *timeoutCoalescer) fireTimeout() {
 // behaviour: a marked descriptor raises the interrupt at DMA completion.
 type omxCoalescer struct{ timeoutCoalescer }
 
-func (c *omxCoalescer) Name() string          { return fmt.Sprintf("openmx(%dus)", c.delay/sim.Microsecond) }
-func (c *omxCoalescer) inspectsMarkers() bool { return true }
+func (c *omxCoalescer) Name() string { return fmt.Sprintf("openmx(%dus)", c.delay/sim.Microsecond) }
 
 //omxlint:hotpath
 func (c *omxCoalescer) onDMAComplete(d *RxDesc, pending int) {
@@ -327,8 +325,7 @@ type adaptiveCoalescer struct {
 	windowCount   int
 }
 
-func (c *adaptiveCoalescer) Name() string          { return "adaptive" }
-func (c *adaptiveCoalescer) inspectsMarkers() bool { return false }
+func (c *adaptiveCoalescer) Name() string { return "adaptive" }
 
 //omxlint:hotpath
 func (c *adaptiveCoalescer) onDMAComplete(d *RxDesc, pending int) {
@@ -424,7 +421,6 @@ type feedbackCoalescer struct {
 func (c *feedbackCoalescer) Name() string {
 	return fmt.Sprintf("feedback(%dus)", c.delay/sim.Microsecond)
 }
-func (c *feedbackCoalescer) inspectsMarkers() bool { return false }
 
 //omxlint:hotpath
 func (c *feedbackCoalescer) onDMAComplete(d *RxDesc, pending int) {

@@ -128,9 +128,16 @@ func New(eng *sim.Engine, p *params.Params, h *host.Host, sw *fabric.Switch, mac
 	n.submitDMAFn = func(x any) { n.submitDMA(x.(*RxDesc)) }
 	n.dmaDoneFn = func(x any) { n.dmaDone(x.(*RxDesc)) }
 	n.txWireFn = func(x any) { n.txWire(x.(*wire.Frame)) }
+	// Only the paper's modified firmwares read the latency-sensitive flag,
+	// and the Stream firmware does extra bookkeeping per packet.
+	markers := cfg.Strategy == StrategyOpenMX || cfg.Strategy == StrategyStream
+	fw := p.NIC.FirmwareRxPacket
+	if cfg.Strategy == StrategyStream {
+		fw += p.NIC.FirmwareStreamExtra
+	}
 	n.queues = make([]*rxQueue, cfg.Queues)
 	for i := range n.queues {
-		q := &rxQueue{nic: n, idx: i}
+		q := &rxQueue{nic: n, idx: i, markers: markers, fw: fw}
 		q.coal = newCoalescer(cfg, q)
 		q.msiFn = func() {
 			q.pollCore.SubmitIRQArg(n.p.Host.IRQEntry, true, q.pollStartFn, nil)
@@ -221,27 +228,18 @@ func (n *NIC) ReceiveFrame(f *wire.Frame) {
 	q := n.queues[n.queueFor(f)]
 
 	// Firmware processes packets serially: descriptor creation and, for the
-	// marker-aware strategies, header inspection (plus the Stream
-	// strategy's extra bookkeeping).
-	fw := n.p.NIC.FirmwareRxPacket
-	if q.coal.inspectsMarkers() {
-		if _, isStream := q.coal.(*streamCoalescer); isStream {
-			fw += n.p.NIC.FirmwareStreamExtra
-		}
-	}
+	// marker-aware strategies, header inspection (q.fw).
 	start := now
 	if n.fwBusyUntil > start {
 		start = n.fwBusyUntil
 	}
-	n.fwBusyUntil = start + fw
+	n.fwBusyUntil = start + q.fw
 
 	d := n.getDesc()
 	d.Frame = f
 	d.Queue = q.idx
 	d.ArrivedAt = now
-	if q.coal.inspectsMarkers() && f.Marked() {
-		d.Marked = true
-	}
+	d.Marked = q.markers && f.Marked()
 	n.inflight++
 	n.Stats.PacketsReceived++
 	n.Stats.BytesReceived += uint64(f.WireBytes())
