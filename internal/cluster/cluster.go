@@ -28,11 +28,10 @@ const MaxNodes = 4096
 type Config struct {
 	// Nodes is the host count (paper: 2), at most MaxNodes.
 	Nodes int
-	// Topology selects the fabric switching model. The zero value is the
-	// legacy direct model (ideal unbounded egress), which keeps every
-	// existing 2-node configuration bit-identical; TopologyOutputQueued
-	// enables bounded drop-tail egress queues with per-port stats for
-	// N-node congestion scenarios.
+	// Topology bounds the switch's egress queues. The zero value leaves
+	// them unbounded, as on the paper's two-host link; TopologyOutputQueued
+	// bounds them with drop-tail for N-node congestion scenarios. Every
+	// topology reports per-port stats and shards under Parallelism.
 	Topology fabric.Topology
 	// Strategy and CoalesceDelay select the NIC interrupt behaviour.
 	Strategy      nic.Strategy
@@ -56,10 +55,10 @@ type Config struct {
 	// on their own goroutines under the conservative synchronizer (see
 	// internal/sim.Group): nodes are split into contiguous shards and
 	// cross-node traffic crosses shards through the fabric's lookahead
-	// window. Reports are bit-identical at every value. <= 1 (and any
-	// value, for models that cannot shard: the direct topology has zero
-	// lookahead) runs the classic single-engine simulation; the value is
-	// clamped to the node count.
+	// window. Reports are bit-identical at every value. <= 1 runs the
+	// classic single-engine simulation, and so does a link whose
+	// propagation and switch latency are both zero (no lookahead); the
+	// value is clamped to the node count.
 	Parallelism int
 	// Params overrides the calibrated defaults when non-nil.
 	Params *params.Params
@@ -185,8 +184,8 @@ type Cluster struct {
 }
 
 // resolvePar maps the configured Parallelism to the effective shard count:
-// clamped to the node count, and forced to 1 when the topology cannot shard
-// (the direct model's shared egress horizons have zero lookahead). The
+// clamped to the node count, and forced to 1 when the fabric has no
+// lookahead (a link with zero propagation and switch latency). The
 // fallback is silent by design — "run this config at -par N" is always
 // safe, never wrong, and at worst serial.
 func resolvePar(cfg Config, lookahead sim.Time) int {
@@ -298,11 +297,9 @@ func New(cfg Config) *Cluster {
 		for i := 0; i < cfg.Nodes; i++ {
 			c.NICs[i].SetTrace(c.traceNodes[i])
 			c.Stacks[i].SetTrace(c.traceNodes[i])
-			if cfg.Topology.Kind == fabric.TopologyOutputQueued {
-				// The node's egress port is bound to the node's shard, so
-				// its drop events share the handle's single-writer shard.
-				sw.BindTrace(wire.NodeMAC(i), c.traceNodes[i])
-			}
+			// The node's egress port is bound to the node's shard, so its
+			// drop events share the handle's single-writer shard.
+			sw.BindTrace(wire.NodeMAC(i), c.traceNodes[i])
 			if every > 0 {
 				c.installSampler(i, every)
 			}
@@ -384,12 +381,10 @@ func (c *Cluster) sampleNode(at sim.Time, node int) {
 		PacketsIn:       s.Stats.PacketsIn,
 		PacketsOut:      s.Stats.PacketsOut,
 		RingDrops:       n.Stats.RingDrops,
+		QueueFrames:     c.Switch.QueueLen(n.MAC()),
+		PortDrops:       c.Switch.PortStats(n.MAC()).Drops,
 	}
 	c.addProto(&smp.Proto, node)
-	if c.Cfg.Topology.Kind == fabric.TopologyOutputQueued {
-		smp.QueueFrames = c.Switch.QueueLen(n.MAC())
-		smp.PortDrops = c.Switch.PortStats(n.MAC()).Drops
-	}
 	c.traceNodes[node].Sample(smp)
 }
 
@@ -517,8 +512,7 @@ func (c *Cluster) Addr(node int, ep uint8) omx.Addr {
 }
 
 // PortStats returns the switch's egress-port counters for a node
-// (occupancy, drops, queueing latency — meaningful under the
-// output-queued topology).
+// (occupancy, drops, queueing latency).
 func (c *Cluster) PortStats(node int) fabric.PortStats {
 	return c.Switch.PortStats(c.NICs[node].MAC())
 }

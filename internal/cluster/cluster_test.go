@@ -134,6 +134,16 @@ func TestValidateTopology(t *testing.T) {
 	}
 }
 
+// TestPaperConfigShards: the paper's two-host testbed, with its unbounded
+// egress queues, runs on two engines when asked to.
+func TestPaperConfigShards(t *testing.T) {
+	cfg := Paper()
+	cfg.Parallelism = 2
+	if got := New(cfg).Parallelism(); got != 2 {
+		t.Errorf("Parallelism() = %d, want 2", got)
+	}
+}
+
 func TestNNodeClusterWiring(t *testing.T) {
 	cfg := Paper()
 	cfg.Nodes = 5

@@ -1,31 +1,30 @@
 // Package fabric models the Ethernet network between hosts: full-duplex
-// links into a store-and-forward switch with per-egress-port serialization
-// and queueing, propagation delay, per-frame timing jitter, and optional
-// fault injection (drop, duplicate, delay-induced reordering).
+// links into a store-and-forward, output-queued switch with per-egress-port
+// serialization and a FIFO queue, propagation delay, per-frame timing
+// jitter, and optional fault injection (drop, duplicate, delay-induced
+// reordering).
 //
 // Ports are indexed by node: the port of node i sits in slot i of the
 // switch and is attached under wire.NodeMAC(i), the only MAC Attach
 // accepts, so a send finds both of its ports without hashing an address.
 //
-// Two switching models are available, selected by Topology. Both time
-// egress the same way: each egress port keeps a busy-until horizon, and a
-// frame starts transmitting when it is ready at the switch or when the
-// port's previous frame has left, whichever is later.
+// A frame serializes onto its sender's link, crosses the switch, and is
+// offered to the destination port's egress queue when it reaches the
+// switch. The port admits it on its own shard: the frame starts
+// transmitting when the port's previous frame has left (the port keeps a
+// busy-until horizon), its arrival at the receiver is scheduled then, and
+// it counts as queued until its start. Topology only bounds the queue:
 //
-//   - TopologyDirect (the default, and the paper's evaluation setup): the
-//     sender reserves the destination port's horizon at send time, so the
-//     port is an unbounded serialization resource. Frames are never lost to
-//     congestion; a burst into one port simply stretches the horizon. This
-//     is exact for the paper's 2-node back-to-back link and stays
-//     bit-identical across releases. Reserving a shared horizon from the
-//     sending side couples ports at zero distance, so the model has zero
-//     lookahead and always runs serially.
-//   - TopologyOutputQueued: an output-queued switch with a bounded FIFO
-//     drop-tail queue per egress port and per-port occupancy/drop/latency
-//     statistics. The port reserves its horizon when it admits a frame, on
-//     the port's own shard. This is the model for N-node shared-fabric
-//     scenarios (incast fan-in, background bulk streams congesting a port)
-//     where the interrupt-load/latency tradeoff meets switch buffering.
+//   - TopologyDirect (the zero value, and the paper's two-host setup): no
+//     bound. Frames are never lost to congestion; a burst into one port
+//     simply waits in its queue.
+//   - TopologyOutputQueued: at most EgressQueueFrames frames wait per
+//     port, and arrivals beyond that are dropped (drop-tail). This is the
+//     model for N-node shared-fabric scenarios (incast fan-in, background
+//     bulk streams congesting a port) where the interrupt-load/latency
+//     tradeoff meets switch buffering.
+//
+// Both keep per-port occupancy, drop and queueing-latency statistics.
 //
 // The fabric is where large-message bandwidth and the inter-packet gaps seen
 // by the receiving NIC are decided, so it directly shapes the pull-protocol
@@ -33,8 +32,8 @@
 //
 // # Sharded execution
 //
-// The output-queued switch can run under the conservative parallel engine
-// (see internal/sim.Group): every port is bound to a shard engine
+// The switch can run under the conservative parallel engine (see
+// internal/sim.Group): every port is bound to a shard engine
 // (BindPort), all port state — busy horizons, admitted start times,
 // statistics, RNG stream, delivery-record free list — is touched only by
 // events running on that port's shard, and a send whose destination port
@@ -56,10 +55,9 @@
 //     seq) total order places cross-shard arrivals identically no matter
 //     which engine's seq counter stamped them.
 //
-// To keep "same model, any Parallelism" bit-identical, the queued path uses
-// the per-port RNG streams and pri stamps even when running on a single
-// engine. The direct topology predates all of this and is frozen: it keeps
-// the switch-wide RNG stream and always runs serially.
+// To keep "same model, any Parallelism" bit-identical, every draw comes from
+// a per-port RNG stream and every admission event carries its pri stamp
+// even when running on a single engine.
 //
 // # Frame ownership and reference counting
 //
@@ -78,6 +76,7 @@ package fabric
 
 import (
 	"fmt"
+	"math"
 
 	"openmxsim/internal/params"
 	"openmxsim/internal/sim"
@@ -92,16 +91,16 @@ type Receiver interface {
 	ReceiveFrame(f *wire.Frame)
 }
 
-// TopologyKind selects the switching model.
+// TopologyKind selects whether the egress queues are bounded.
 type TopologyKind int
 
 const (
-	// TopologyDirect is the legacy ideal model: unbounded per-port egress
-	// serialization, no queue, no congestion loss.
+	// TopologyDirect leaves every egress queue unbounded: no congestion
+	// loss.
 	TopologyDirect TopologyKind = iota
-	// TopologyOutputQueued is the bounded output-queued switch: each egress
-	// port owns a FIFO queue of at most Topology.EgressQueueFrames frames;
-	// arrivals beyond that are dropped (drop-tail).
+	// TopologyOutputQueued bounds each egress port's FIFO queue to
+	// Topology.EgressQueueFrames frames; arrivals beyond that are dropped
+	// (drop-tail).
 	TopologyOutputQueued
 )
 
@@ -115,20 +114,18 @@ func (k TopologyKind) String() string {
 }
 
 // DefaultEgressQueueFrames is the per-port buffer used when a Topology
-// selects the output-queued model without an explicit bound. 128 full
-// frames per port is in the range of the shallow shared-buffer switches of
-// the paper's era.
+// bounds the queues without an explicit bound. 128 full frames per port is
+// in the range of the shallow shared-buffer switches of the paper's era.
 const DefaultEgressQueueFrames = 128
 
-// Topology configures the switching model. The zero value is the legacy
-// direct model, guaranteeing existing 2-node configurations behave (and
-// measure) exactly as before.
+// Topology configures the egress queues. The zero value leaves them
+// unbounded.
 type Topology struct {
-	// Kind selects direct (ideal) or output-queued (bounded) switching.
+	// Kind selects unbounded (direct) or bounded (output-queued) queues.
 	Kind TopologyKind
-	// EgressQueueFrames bounds each egress port's queue in frames for the
-	// output-queued model; <= 0 selects DefaultEgressQueueFrames. Ignored
-	// by the direct model.
+	// EgressQueueFrames bounds each egress port's queue in frames under
+	// TopologyOutputQueued; <= 0 selects DefaultEgressQueueFrames. Ignored
+	// by TopologyDirect.
 	EgressQueueFrames int
 }
 
@@ -145,7 +142,10 @@ func (t Topology) Validate() error {
 
 // queueCap returns the effective per-port queue bound.
 func (t Topology) queueCap() int {
-	if t.EgressQueueFrames > 0 {
+	switch {
+	case t.Kind == TopologyDirect:
+		return math.MaxInt
+	case t.EgressQueueFrames > 0:
 		return t.EgressQueueFrames
 	}
 	return DefaultEgressQueueFrames
@@ -207,9 +207,7 @@ func (s *Switch) hook() Hook {
 	return s.fault.Hook
 }
 
-// PortStats are the per-egress-port counters of the switch. In the direct
-// model only the delivery counters advance; the queue fields are specific
-// to the output-queued model.
+// PortStats are the per-egress-port counters of the switch.
 type PortStats struct {
 	// FramesDelivered and BytesDelivered count frames handed to the port's
 	// receiver.
@@ -217,7 +215,8 @@ type PortStats struct {
 	BytesDelivered  uint64 `json:"bytes_delivered"`
 	// Enqueued counts frames admitted to the egress queue.
 	Enqueued uint64 `json:"enqueued"`
-	// Drops counts frames rejected by the full egress queue (drop-tail).
+	// Drops counts frames rejected by the full egress queue (drop-tail;
+	// always 0 on an unbounded queue).
 	Drops uint64 `json:"drops"`
 	// MaxQueueFrames is the queue-occupancy high-water mark, in frames.
 	MaxQueueFrames int `json:"max_queue_frames"`
@@ -234,17 +233,17 @@ type PortStats struct {
 // is how both directions of a full-duplex link and cross-traffic
 // contention are modelled.
 type Switch struct {
-	eng   *sim.Engine
-	link  params.Link
+	eng  *sim.Engine
+	link params.Link
+	// rng only derives the ports' streams; the switch draws nothing itself.
 	rng   *sim.RNG
-	topo  Topology
 	qcap  int
 	ports []*port
 	fault *Fault
 
-	// In-flight deliveries (and, in the output-queued model, pending
-	// egress-enqueue records) are recycled through per-port free lists and
-	// fire through bound callbacks, so forwarding a frame never allocates.
+	// In-flight deliveries and pending egress-enqueue records are recycled
+	// through per-port free lists and fire through bound callbacks, so
+	// forwarding a frame never allocates.
 	deliverFn func(any)
 	enqueueFn func(any)
 
@@ -277,7 +276,7 @@ type port struct {
 
 	// Shard binding: all events touching this port's state run on eng
 	// (shard 0 / the switch's engine until BindPort says otherwise). rng is
-	// the port's private stream for queued-path draws, priBase|++msgSeq the
+	// the port's private stream for its draws, priBase|++msgSeq the
 	// order-independent tie-break key for the port's sends, and delivFree
 	// the port-local record free list — each owned by the port's shard.
 	eng     *sim.Engine
@@ -293,10 +292,9 @@ type port struct {
 	ingressBusy sim.Time // sender-side wire occupancy
 	egressBusy  sim.Time // receiver-side wire occupancy
 
-	// starts holds the transmit start times of the frames the
-	// output-queued port has admitted, ascending. Those after now are the
-	// frames still waiting: the queue that drop-tail bounds to the
-	// switch's qcap.
+	// starts holds the transmit start times of the frames the port has
+	// admitted, ascending. Those after now are the frames still waiting:
+	// the queue that drop-tail bounds to the switch's qcap.
 	starts sim.Queue[sim.Time]
 
 	// tr is the node's telemetry handle for egress-queue events (nil =
@@ -306,8 +304,8 @@ type port struct {
 	stats PortStats
 }
 
-// NewSwitch creates a switch with the given link characteristics and the
-// default direct topology.
+// NewSwitch creates a switch with the given link characteristics and
+// unbounded egress queues.
 func NewSwitch(eng *sim.Engine, link params.Link, rng *sim.RNG) *Switch {
 	s := &Switch{eng: eng, link: link, rng: rng, qcap: Topology{}.queueCap()}
 	s.deliverFn = func(x any) { s.deliverNow(x.(*delivery)) }
@@ -315,14 +313,13 @@ func NewSwitch(eng *sim.Engine, link params.Link, rng *sim.RNG) *Switch {
 	return s
 }
 
-// SetTopology installs the switching model. It must be called before any
-// traffic flows (cluster wiring calls it right after construction); the
-// configuration is validated here so malformed topologies fail loudly.
+// SetTopology installs the egress queue bound. It must be called before
+// any traffic flows (cluster wiring calls it right after construction);
+// the configuration is validated here so malformed topologies fail loudly.
 func (s *Switch) SetTopology(t Topology) {
 	if err := t.Validate(); err != nil {
 		panic(err)
 	}
-	s.topo = t
 	s.qcap = t.queueCap()
 }
 
@@ -334,8 +331,8 @@ func (s *Switch) SetFault(f *Fault) { s.fault = f }
 // switch; any other address panics, so no MAC can alias a node's port. The
 // port starts on the switch's own engine (shard 0); BindPort reassigns it.
 // Its RNG stream and pri base are derived from the node alone — Derive
-// does not consume the parent stream — so attaching ports perturbs neither
-// the frozen direct-path draw order nor any sibling port's stream.
+// does not consume the parent stream — so attaching a port never perturbs
+// a sibling port's stream.
 func (s *Switch) Attach(mac wire.MAC, rx Receiver) {
 	node := mac.NodeIndex()
 	if mac != wire.NodeMAC(node) {
@@ -406,15 +403,10 @@ func (s *Switch) FlushShards() bool {
 
 // Lookahead returns the minimum virtual-time distance between a send on one
 // node and its earliest effect on any other node — the window size for
-// conservative parallel execution. Every queued-path frame reaches the
-// destination's egress queue at ingress-start + serialization +
-// PropagationDelay + SwitchLatency, so propagation + switch latency is a
-// strict lower bound. The direct topology's shared egress busy-horizons
-// couple ports at zero distance, so its lookahead is 0 (cannot shard).
+// conservative parallel execution. Every frame reaches the destination's
+// egress queue at ingress-start + serialization + PropagationDelay +
+// SwitchLatency, so propagation + switch latency is a strict lower bound.
 func (s *Switch) Lookahead() sim.Time {
-	if s.topo.Kind != TopologyOutputQueued {
-		return 0
-	}
 	return s.link.PropagationDelay + s.link.SwitchLatency
 }
 
@@ -452,8 +444,7 @@ func (s *Switch) BindTrace(mac wire.MAC, h *trace.Node) {
 }
 
 // QueueLen returns the current egress-queue depth of mac's port: the
-// admitted frames whose transmission starts after now (always 0 in the
-// direct model).
+// admitted frames whose transmission starts after now.
 func (s *Switch) QueueLen(mac wire.MAC) int {
 	p := s.mustPort(mac)
 	now, i := p.eng.Now(), 0
@@ -464,10 +455,13 @@ func (s *Switch) QueueLen(mac wire.MAC) int {
 }
 
 // Send injects a frame at the source port at the current virtual time. The
-// frame serializes onto the source link, crosses the switch, and reaches
-// the destination port's egress resource: an ideal serializer in the direct
-// model, a bounded drop-tail queue in the output-queued model. Send takes
-// over the caller's frame reference (see the package comment).
+// frame serializes onto the source link, crosses the switch, and is offered
+// to the destination port's egress queue when it reaches the switch, so
+// congestion, loss and queueing delay depend on what the port has admitted
+// by then. Send takes over the caller's frame reference (see the package
+// comment). It runs on the source port's shard and touches only
+// source-port state, the fault configuration (read-only), and
+// scheduleEgress.
 //
 //omxlint:hotpath
 func (s *Switch) Send(f *wire.Frame) {
@@ -479,83 +473,21 @@ func (s *Switch) Send(f *wire.Frame) {
 	if dst == nil {
 		panic(fmt.Sprintf("fabric: unknown destination %s", f.Dst))
 	}
-	if s.topo.Kind == TopologyOutputQueued {
-		s.sendQueued(src, dst, f)
-		return
-	}
-	s.sendDirect(src, dst, f)
-}
-
-// ingress is the part of a send both switching models share: the scenario
-// hook's verdict, then the sender's wire, which is busy until the frame has
-// left the NIC. It returns when the frame, after propagation and the
-// store-and-forward switch latency, is ready for the destination's egress,
-// and the frame's serialization time. ok is false when the hook dropped the
-// frame, which is then released before it ever occupied the wire. It runs
-// on the source port's shard and touches only source-port state.
-func (s *Switch) ingress(src, dst *port, f *wire.Frame) (ready, ser sim.Time, ok bool) {
+	// The scenario hook's drop comes first: a down link transmits nothing,
+	// so the frame is released before it ever occupies the wire.
 	now := src.eng.Now()
 	if h := s.hook(); h != nil && h.Drop(src.node, dst.node, now) {
 		src.faultDrops++
 		f.Release()
-		return 0, 0, false
+		return
 	}
-	ser = s.link.SerializationTime(f.WireBytes())
+	// The sender's wire is busy until the frame has left the NIC; after
+	// propagation and the store-and-forward latency it is ready at the
+	// switch.
+	ser := s.link.SerializationTime(f.WireBytes())
 	start := max(now, src.ingressBusy)
 	src.ingressBusy = start + ser
-	return start + ser + s.link.PropagationDelay + s.link.SwitchLatency, ser, true
-}
-
-// egress reserves p's wire for a frame of serialization time ser that is
-// ready at ready, and returns the frame's transmit start.
-func (p *port) egress(ready, ser sim.Time) sim.Time {
-	start := max(ready, p.egressBusy)
-	p.egressBusy = start + ser
-	return start
-}
-
-// sendDirect is the legacy ideal path: the destination's egress is
-// reserved at send time and only the final arrival is a scheduled event.
-// This code path (including its RNG draw order: jitter, then the static
-// drop, delay and duplicate draws) is frozen: existing 2-node reports
-// depend on it bit for bit.
-func (s *Switch) sendDirect(src, dst *port, f *wire.Frame) {
-	ready, ser, ok := s.ingress(src, dst, f)
-	if !ok {
-		return
-	}
-	arrival := dst.egress(ready, ser) + ser + s.link.PropagationDelay
-	arrival += s.rng.Jitter(0, s.link.JitterSD)
-
-	// Fault injection. The caller's frame reference transfers to the
-	// delivery; drops release it and duplicates take an extra one.
-	if s.fault.matches(f) {
-		if s.rng.Bool(s.fault.DropProb) {
-			src.faultDrops++
-			f.Release()
-			return
-		}
-		if s.fault.DelayProb > 0 && s.rng.Bool(s.fault.DelayProb) {
-			arrival += s.fault.DelayTime
-		}
-		if s.fault.DupProb > 0 && s.rng.Bool(s.fault.DupProb) {
-			f.Ref()
-			s.deliver(dst, f, arrival+s.rng.Jitter(ser, s.link.JitterSD))
-		}
-	}
-	s.deliver(dst, f, arrival)
-}
-
-// sendQueued is the output-queued path: the frame is offered to the
-// destination's bounded egress queue when it reaches the switch, so
-// congestion, loss and queueing delay depend on what the port has admitted
-// by then. It runs on the source port's shard and touches only source-port
-// state, the fault/topology configuration (read-only), and scheduleEgress.
-func (s *Switch) sendQueued(src, dst *port, f *wire.Frame) {
-	ready, ser, ok := s.ingress(src, dst, f)
-	if !ok {
-		return
-	}
+	ready := start + ser + s.link.PropagationDelay + s.link.SwitchLatency
 
 	// Fault injection happens at the switch, before the egress queue: a
 	// dropped frame never occupies buffer space. Draws come from the source
@@ -614,14 +546,16 @@ func (s *Switch) enqueueNow(d *delivery) {
 		return
 	}
 	ser := s.link.SerializationTime(f.WireBytes())
-	start := p.egress(now, ser)
+	start := max(now, p.egressBusy)
+	p.egressBusy = start + ser
 	p.starts.PushBack(start)
 	p.stats.Enqueued++
 	if n := p.starts.Len(); n > p.stats.MaxQueueFrames {
 		p.stats.MaxQueueFrames = n
 	}
 	p.stats.QueueWait += start - now
-	s.deliver(p, f, start+ser+s.link.PropagationDelay+p.rng.Jitter(0, s.link.JitterSD))
+	at := start + ser + s.link.PropagationDelay + p.rng.Jitter(0, s.link.JitterSD)
+	p.eng.ScheduleArg(at, s.deliverFn, p.getDelivery(f))
 }
 
 // getDelivery takes a record for port p off p's free list. Records for a
@@ -645,13 +579,6 @@ func (p *port) getDelivery(f *wire.Frame) *delivery {
 func (p *port) putDelivery(d *delivery) {
 	d.p, d.f = nil, nil
 	p.delivFree = append(p.delivFree, d)
-}
-
-// deliver schedules the frame's arrival at p. Its callers run on p's shard
-// (direct sends are always single-shard; queued arrivals come from p's own
-// enqueueNow), so scheduling on p.eng is always a same-shard operation.
-func (s *Switch) deliver(p *port, f *wire.Frame, at sim.Time) {
-	p.eng.ScheduleArg(at, s.deliverFn, p.getDelivery(f))
 }
 
 // deliverNow hands the frame (and its reference) to the destination port.

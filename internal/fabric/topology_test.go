@@ -9,7 +9,8 @@ import (
 	"openmxsim/internal/wire"
 )
 
-// queuedSwitch builds a switch in output-queued mode with n attached sinks.
+// queuedSwitch builds a switch with bounded egress queues and n attached
+// sinks.
 func queuedSwitch(t *testing.T, topo Topology, n int) (*sim.Engine, *Switch, []*sink) {
 	t.Helper()
 	eng := sim.NewEngine()
@@ -44,9 +45,9 @@ func TestTopologyValidate(t *testing.T) {
 	}
 }
 
-// TestQueuedMatchesDirectWhenUncongested checks the output-queued model
-// delivers an isolated frame at exactly the direct model's latency: the
-// bounded queue only changes behaviour under contention.
+// TestQueuedMatchesDirectWhenUncongested checks a bounded port delivers an
+// isolated frame at exactly the unbounded port's latency (see
+// TestDeliveryLatency): the bound only changes behaviour under contention.
 func TestQueuedMatchesDirectWhenUncongested(t *testing.T) {
 	link := testLink()
 	eng, sw, sinks := queuedSwitch(t, Topology{}, 2)
@@ -96,6 +97,35 @@ func TestQueuedEgressKeepsLineRate(t *testing.T) {
 	}
 	if st.QueueWait == 0 {
 		t.Error("QueueWait = 0: contention was free")
+	}
+}
+
+// TestUnboundedQueueNeverDrops floods a TopologyDirect port at 2:1 for
+// long enough that its queue outgrows DefaultEgressQueueFrames: nothing
+// is dropped and every frame is delivered.
+func TestUnboundedQueueNeverDrops(t *testing.T) {
+	eng := sim.NewEngine()
+	sw := NewSwitch(eng, testLink(), sim.NewRNG(1))
+	sinks := make([]*sink, 3)
+	for i := range sinks {
+		sinks[i] = &sink{eng: eng}
+		sw.Attach(wire.NodeMAC(i), sinks[i])
+	}
+	const n = 400
+	for i := 0; i < n; i++ {
+		sw.Send(smallFrame(0, 2, uint32(i)))
+		sw.Send(smallFrame(1, 2, uint32(1000+i)))
+	}
+	eng.Run()
+	st := sw.PortStats(wire.NodeMAC(2))
+	if st.Drops != 0 || st.FramesDelivered != 2*n {
+		t.Errorf("Drops/Delivered = %d/%d, want 0/%d", st.Drops, st.FramesDelivered, 2*n)
+	}
+	if st.MaxQueueFrames <= DefaultEgressQueueFrames {
+		t.Errorf("MaxQueueFrames = %d, want past the default bound %d", st.MaxQueueFrames, DefaultEgressQueueFrames)
+	}
+	if la := sw.Lookahead(); la <= 0 {
+		t.Errorf("Lookahead() = %d, want > 0", la)
 	}
 }
 

@@ -94,10 +94,9 @@ type NIC struct {
 	sendBusyUntil sim.Time
 	inflight      int // frames accepted but whose DMA has not completed
 
-	descFree    []*RxDesc
-	submitDMAFn func(any)
-	dmaDoneFn   func(any)
-	txWireFn    func(any)
+	descFree  []*RxDesc
+	dmaDoneFn func(any)
+	txWireFn  func(any)
 
 	tr *trace.Node
 
@@ -125,7 +124,6 @@ func New(eng *sim.Engine, p *params.Params, h *host.Host, sw *fabric.Switch, mac
 		cfg.Queues = 1
 	}
 	n := &NIC{eng: eng, p: p, hst: h, sw: sw, mac: mac}
-	n.submitDMAFn = func(x any) { n.submitDMA(x.(*RxDesc)) }
 	n.dmaDoneFn = func(x any) { n.dmaDone(x.(*RxDesc)) }
 	n.txWireFn = func(x any) { n.txWire(x.(*wire.Frame)) }
 	// Only the paper's modified firmwares read the latency-sensitive flag,
@@ -228,12 +226,12 @@ func (n *NIC) ReceiveFrame(f *wire.Frame) {
 	q := n.queues[n.queueFor(f)]
 
 	// Firmware processes packets serially: descriptor creation and, for the
-	// marker-aware strategies, header inspection (q.fw).
-	start := now
-	if n.fwBusyUntil > start {
-		start = n.fwBusyUntil
-	}
-	n.fwBusyUntil = start + q.fw
+	// marker-aware strategies, header inspection (q.fw). The DMA engine then
+	// takes the descriptor as soon as it is free; both are FIFO, so the
+	// DMA's completion is known on arrival.
+	n.fwBusyUntil = max(now, n.fwBusyUntil) + q.fw
+	start := max(n.fwBusyUntil, n.dmaBusyUntil)
+	n.dmaBusyUntil = start + n.p.NIC.DMATime(f.PayloadLen+wire.HeaderLen)
 
 	d := n.getDesc()
 	d.Frame = f
@@ -244,16 +242,6 @@ func (n *NIC) ReceiveFrame(f *wire.Frame) {
 	n.Stats.PacketsReceived++
 	n.Stats.BytesReceived += uint64(f.WireBytes())
 
-	n.eng.ScheduleArg(n.fwBusyUntil, n.submitDMAFn, d)
-}
-
-func (n *NIC) submitDMA(d *RxDesc) {
-	now := n.eng.Now()
-	start := now
-	if n.dmaBusyUntil > start {
-		start = n.dmaBusyUntil
-	}
-	n.dmaBusyUntil = start + n.p.NIC.DMATime(d.Frame.PayloadLen+wire.HeaderLen)
 	n.eng.ScheduleArg(n.dmaBusyUntil, n.dmaDoneFn, d)
 }
 

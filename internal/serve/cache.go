@@ -22,7 +22,7 @@ import (
 // stale bytes as if they were fresh execution. Execution-shape changes
 // that provably do not alter output (worker count, parallelism) must NOT
 // bump it; the differential CI jobs are the proof.
-const ResultsVersion = "omxsim-r10"
+const ResultsVersion = "omxsim-r11"
 
 // entryMagic versions the on-disk entry layout itself (header format),
 // independent of the simulator semantics ResultsVersion tracks.

@@ -13,9 +13,8 @@ import (
 
 // PingPongOutcome bundles everything one ping-pong measurement produces:
 // the per-size latency map, the interrupt/message totals, the summed
-// protocol counters, and — under the output-queued topology — a per-node
-// snapshot of the switch's egress-port counters (nil in the direct model,
-// whose ideal ports have no queue to report).
+// protocol counters, and a per-node snapshot of the switch's egress-port
+// counters.
 type PingPongOutcome struct {
 	Latency    map[int]sim.Time
 	Interrupts uint64
@@ -24,12 +23,8 @@ type PingPongOutcome struct {
 	Ports      []fabric.PortStats
 }
 
-// portSnapshots captures every node's egress-port counters for queued
-// topologies; the direct model reports nil.
+// portSnapshots captures every node's egress-port counters.
 func portSnapshots(cl *cluster.Cluster) []fabric.PortStats {
-	if cl.Cfg.Topology.Kind != fabric.TopologyOutputQueued {
-		return nil
-	}
 	ps := make([]fabric.PortStats, cl.Cfg.Nodes)
 	for i := range ps {
 		ps[i] = cl.PortStats(i)

@@ -167,17 +167,17 @@ func (g Grid) validPoints() ([]Point, error) {
 
 // workerBudget resolves the worker-pool size for the normalized grid g:
 // non-positive means GOMAXPROCS, and the pool never exceeds the point
-// count. On the output-queued fabric (QFrames > 0) each worker drives up
-// to Par simulation goroutines, so the real concurrency is workers x Par;
-// the pool then shrinks so the product stays within the machine rather
+// count. A point's rate stream (Rate) shards, so each worker then drives
+// up to Par simulation goroutines and the real concurrency is workers x
+// Par; the pool shrinks so the product stays within the machine rather
 // than letting the two knobs silently multiply past it (oversubscription
-// slows every point's barrier windows at once). The direct fabric never
-// shards, so there Par costs no workers.
+// slows every point's barrier windows at once). The ping-pong always runs
+// serially (RunPingPong), so without Rate, Par costs no workers.
 func (g Grid) workerBudget(workers int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if g.Par > 1 && g.QFrames > 0 {
+	if g.Par > 1 && g.Rate {
 		if cap := runtime.GOMAXPROCS(0) / g.Par; workers > cap {
 			workers = cap
 		}

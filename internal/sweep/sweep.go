@@ -75,20 +75,17 @@ type Grid struct {
 	// MessageRate).
 	RateWarmup, RateMeasure sim.Time
 	// Par is the per-point simulation parallelism (cluster.Config
-	// .Parallelism): every point's cluster shards across this many engines
-	// when QFrames selects the output-queued fabric, and runs serially
-	// otherwise. normalized clamps it to [1, NumCPU], and on the queued
-	// fabric Run shrinks its worker pool so workers x Par never
-	// oversubscribes the machine. For wide grids of small points the
-	// default (1) is optimal — cross-point workers beat intra-point
-	// sharding; Par earns its keep on grids of few, large (many-node,
-	// congested) points.
+	// .Parallelism): every point's rate stream shards across this many
+	// engines, while its ping-pong always runs serially. normalized clamps
+	// it to [1, NumCPU], and with Rate set Run shrinks its worker pool so
+	// workers x Par never oversubscribes the machine. For wide grids of
+	// small points the default (1) is optimal — cross-point workers beat
+	// intra-point sharding; Par earns its keep on grids of few, large
+	// (many-node, congested) points.
 	Par int
-	// QFrames, when positive, swaps every point's fabric to the bounded
-	// output-queued topology with this egress queue depth (omxsim's
-	// -qframes knob). Par > 1 needs it to engage: the ideal direct
-	// topology has zero wire lookahead, so sharded clusters fall back to
-	// the serial reference engine.
+	// QFrames, when positive, bounds every point's switch egress queues to
+	// this many frames with drop-tail (the output-queued topology,
+	// omxsim's -qframes knob); 0 leaves them unbounded.
 	QFrames int
 	// Sample, when positive, records a virtual-time metric series at this
 	// interval during every point's latency measurement and attaches it as

@@ -110,14 +110,14 @@ func TestGridParClamp(t *testing.T) {
 	}
 }
 
-// TestWorkerBudget pins the workers x par oversubscription clamp on the
-// output-queued fabric: an explicit worker count survives at par 1 (users
+// TestWorkerBudget pins the workers x par oversubscription clamp for
+// grids whose rate streams shard: an explicit worker count survives at par 1 (users
 // may oversubscribe on purpose), but any par > 1 shrinks the pool so the
 // product stays within GOMAXPROCS, and the result never leaves [1, points].
 func TestWorkerBudget(t *testing.T) {
 	max := runtime.GOMAXPROCS(0)
 	budget := func(workers, par, points int) int {
-		g := Grid{Sizes: make([]int, points), QFrames: 64}.normalized()
+		g := Grid{Sizes: make([]int, points), Rate: true}.normalized()
 		g.Par = par
 		return g.workerBudget(workers)
 	}
@@ -144,19 +144,24 @@ func TestWorkerBudget(t *testing.T) {
 	}
 }
 
-// TestParShrinksPoolOnlyOnQueuedFabric: only output-queued points shard,
-// so Par costs workers there and nowhere else. A direct-fabric grid at
-// Par 2 keeps the Par 1 pool.
-func TestParShrinksPoolOnlyOnQueuedFabric(t *testing.T) {
+// TestParShrinksPoolOnlyForRateStreams: a point's rate stream shards on
+// any fabric, while its ping-pong always runs serially, so Par costs
+// workers exactly when Rate is set. A latency-only grid at Par 2 keeps the
+// Par 1 pool, bounded queues or not.
+func TestParShrinksPoolOnlyForRateStreams(t *testing.T) {
 	sizes := []int{0, 1, 64, 128, 512, 1024, 4096, 65536}
 	serial := Grid{Sizes: sizes, Par: 1}.Workers(0)
-	if got := (Grid{Sizes: sizes, Par: 2}).Workers(0); got != serial {
-		t.Errorf("direct fabric at Par 2: %d workers, want the Par 1 pool of %d", got, serial)
+	for _, q := range []int{0, 64} {
+		if got := (Grid{Sizes: sizes, Par: 2, QFrames: q}).Workers(0); got != serial {
+			t.Errorf("latency only, qframes %d, Par 2: %d workers, want the Par 1 pool of %d", q, got, serial)
+		}
 	}
 	par := min(2, runtime.NumCPU()) // normalized clamps Par to the machine
 	want := max(1, min(runtime.GOMAXPROCS(0)/par, len(sizes)))
-	if got := (Grid{Sizes: sizes, Par: 2, QFrames: 64}).Workers(0); got != want {
-		t.Errorf("queued fabric at Par 2: %d workers, want %d", got, want)
+	for _, q := range []int{0, 64} {
+		if got := (Grid{Sizes: sizes, Par: 2, QFrames: q, Rate: true}).Workers(0); got != want {
+			t.Errorf("rate, qframes %d, Par 2: %d workers, want %d", q, got, want)
+		}
 	}
 }
 
