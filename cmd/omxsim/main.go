@@ -46,7 +46,7 @@ func main() {
 	nosleep := flag.Bool("nosleep", false, "disable C1E idle sleep")
 	nodes := flag.Int("nodes", 2, "cluster node count (incast: senders = nodes-1)")
 	bg := flag.Int("bg", 0, "background bulk streams congesting the receiver port (pingpong)")
-	qframes := flag.Int("qframes", 0, "switch egress queue bound in frames (0 = ideal unbounded port)")
+	qframes := flag.Int("qframes", 0, "switch egress queue bound in frames (0 = unbounded)")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	faultFlags := cliflag.Fault()
 	burst := flag.Float64("burst", 1, "loss burstiness: 1 applies -drop as a uniform static fault; > 1 moves -drop into a bursty Gilbert-Elliott scenario of this mean episode length")
@@ -60,7 +60,7 @@ func main() {
 		fail("bad -size %d: want >= 0", *size)
 	}
 	if *qframes < 0 {
-		fail("bad -qframes %d: want >= 0 (0 = ideal unbounded port)", *qframes)
+		fail("bad -qframes %d: want >= 0 (0 = unbounded)", *qframes)
 	}
 	if !(*burst >= 0) || math.IsInf(*burst, 1) {
 		fail("bad -burst %g: want a finite length >= 0", *burst)
@@ -138,8 +138,8 @@ func main() {
 	}
 
 	// addTelemetry folds the optional observability payloads into a -json
-	// body: per-port switch statistics (queued topologies only) and the
-	// sampled metric series when -sample is on.
+	// body: per-port switch statistics and the sampled metric series when
+	// -sample is on.
 	addTelemetry := func(m map[string]any, ports []fabric.PortStats) map[string]any {
 		if len(ports) > 0 {
 			m["port_stats"] = ports

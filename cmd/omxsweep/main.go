@@ -53,7 +53,7 @@ func run() int {
 	workers := flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 	par := cliflag.Par()
 	cacheDir := cliflag.CacheDir()
-	qframes := flag.Int("qframes", 0, "switch egress queue bound in frames (0 = ideal unbounded port; -par > 1 needs it)")
+	qframes := flag.Int("qframes", 0, "switch egress queue bound in frames (0 = unbounded)")
 	out := flag.String("out", "-", "JSON output path ('-' = stdout, '' = none)")
 	csvOut := flag.String("csvout", "", "CSV output path ('-' = stdout, '' = none)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")

@@ -28,9 +28,9 @@ func main() {
 		} {
 			cfg := openmxsim.PaperPlatform()
 			cfg.Strategy = st
-			// The zero-value Topology is the paper's ideal direct link;
-			// selecting the output-queued switch bounds each egress port
-			// with a FIFO drop-tail buffer and records congestion stats.
+			// The zero-value Topology leaves each egress queue unbounded,
+			// as on the paper's two-host link; the output-queued topology
+			// bounds it with a FIFO drop-tail buffer.
 			cfg.Topology = openmxsim.Topology{
 				Kind:              openmxsim.TopologyOutputQueued,
 				EgressQueueFrames: 64,

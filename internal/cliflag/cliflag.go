@@ -27,10 +27,10 @@ import (
 
 // Par registers the canonical -par flag on the default flag set: the
 // number of shard engines per simulated cluster (cluster.Config
-// .Parallelism). 1 is the serial reference engine; higher values need an
-// output-queued topology to engage and produce bit-identical results.
+// .Parallelism). 1 is the serial reference engine; higher values produce
+// bit-identical results.
 func Par() *int {
-	return flag.Int("par", 1, "simulation shards per cluster (1 = serial reference engine; needs an output-queued topology to engage)")
+	return flag.Int("par", 1, "simulation shards per cluster (1 = serial reference engine; results are identical at any value)")
 }
 
 // Addr registers the canonical -addr flag: the host:port the simulation
@@ -216,8 +216,7 @@ func Fault() *FaultFlags {
 }
 
 // Build validates the parsed values and assembles the fault, or nil when
-// every probability is zero (no fault injected, frozen fast paths
-// untouched).
+// every probability is zero (no fault injected).
 func (ff *FaultFlags) Build() (*fabric.Fault, error) {
 	for _, v := range []struct {
 		name string

@@ -16,12 +16,12 @@ const allocsSlack = 1.2
 // TestReportsBitIdenticalAcrossParallelism regenerates registry
 // experiments on the serial reference engine and on sharded engines and
 // requires byte-identical reports: conservative parallel execution must be
-// invisible to every model. Experiments on the ideal direct topology fall
-// back to the serial engine (zero lookahead) and pass trivially; the
-// output-queued experiments — incast above all — are the ones that
-// genuinely shard. Two seeds guard against a single lucky ordering. In
-// -short mode (and under -race, where each sharded run costs minutes) only
-// the cheapest experiments run; the full registry runs in CI.
+// invisible to every model. Every cluster a report builds shards, except
+// the ping-pong harnesses, which always run serially; the stream, NAS and
+// incast experiments genuinely shard. Two seeds guard against a single
+// lucky ordering. In -short mode (and under -race, where each sharded run
+// costs minutes) only the cheapest experiments run; the full registry runs
+// in CI.
 //
 // The serial reports double as the model's fingerprint: each must equal
 // its entry in testdata/reports-seed{1,7}.json, the output of

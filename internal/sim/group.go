@@ -77,9 +77,8 @@ import (
 // What the model must supply for the above to hold: every cross-shard
 // interaction goes through the flush hook with delay >= the lookahead, and
 // cross-shard pri keys are unique and execution-order-independent. The
-// fabric's output-queued topology satisfies both; the direct topology has
-// zero lookahead and is therefore always run serially (the cluster falls
-// back to one shard).
+// fabric satisfies both: every frame reaches its destination port no
+// sooner than the link's propagation plus switch latency after it is sent.
 type Group struct {
 	engs []*Engine
 	la   Time
@@ -91,8 +90,8 @@ type Group struct {
 }
 
 // NewGroup returns a Group over the given shard engines with the given
-// lookahead (must be positive — zero-lookahead models cannot shard; run
-// them on a single engine instead). The flush hook delivers cross-shard
+// lookahead (must be positive; a model without lookahead runs on a single
+// engine instead). The flush hook delivers cross-shard
 // messages between windows; it may be nil.
 func NewGroup(engs []*Engine, lookahead Time, flush func() bool) *Group {
 	if lookahead <= 0 {

@@ -141,7 +141,7 @@ type IncastResult struct {
 	// Received is the raw message count in the window.
 	Received int
 	// PortDrops counts drop-tail losses at the receiver's egress port over
-	// the whole run (0 under the direct topology).
+	// the whole run (0 on an unbounded queue).
 	PortDrops uint64
 	// MaxQueueFrames is the receiver port's queue high-water mark.
 	MaxQueueFrames int
@@ -149,8 +149,7 @@ type IncastResult struct {
 	QueueWaitNS float64
 	// Proto sums the protocol counters over all nodes.
 	Proto trace.Proto
-	// Ports holds every node's egress-port statistics when the topology is
-	// output-queued (nil under the direct topology, which has no ports).
+	// Ports holds every node's egress-port statistics.
 	Ports []fabric.PortStats
 }
 

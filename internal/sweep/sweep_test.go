@@ -252,9 +252,9 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 
 // TestSweepDeterministicAcrossPar is the same contract along the other
 // axis: per-point simulation parallelism must not change a byte of output.
-// The grid needs the output-queued topology (QFrames) for sharding to
-// engage at all, and the rate stream is the harness that actually runs
-// sharded (the ping-pong always uses the serial reference).
+// The rate stream is the harness that actually runs sharded (the
+// ping-pong always uses the serial reference); QFrames puts drop-tail
+// queues on the ports it shards through.
 func TestSweepDeterministicAcrossPar(t *testing.T) {
 	g := Grid{
 		Sizes:       []int{128, 4 << 10},

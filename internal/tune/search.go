@@ -67,8 +67,8 @@ type Spec struct {
 	LatencyWeight float64 `json:"latency_weight"`
 	// Workers sizes the sweep worker pool per round (0 = GOMAXPROCS).
 	// Excluded from JSON: the outcome is identical at any worker count.
-	// Each evaluated cluster runs on the direct fabric, which never
-	// shards, so there is no per-point parallelism knob.
+	// Each evaluated cluster runs on the serial reference engine; the
+	// tuner has no per-point parallelism knob.
 	Workers int `json:"-"`
 	// Observer, when non-nil, receives every evaluated point's result the
 	// moment its simulation completes (sweep.Observer semantics: worker

@@ -69,8 +69,8 @@ func ParseStrategy(name string) (Strategy, error) { return nic.ParseStrategy(nam
 // Config describes a simulated testbed; the zero value is not useful, start
 // from PaperPlatform. Config.Parallelism shards the cluster across that
 // many engines running conservatively in parallel (lookahead = the
-// output-queued fabric's wire latency); results are bit-identical at any
-// value, so it is purely a wall-clock knob for large clusters.
+// fabric's propagation plus switch latency); results are bit-identical at
+// any value, so it is purely a wall-clock knob for large clusters.
 type Config = cluster.Config
 
 // Cluster is a wired testbed (hosts, NICs, switch, Open-MX stacks).
@@ -89,10 +89,11 @@ func NewCluster(cfg Config) *Cluster { return cluster.New(cfg) }
 // modified copy to Config.Params to explore the design space.
 func DefaultParams() *params.Params { return params.Default() }
 
-// Topology selects the fabric switching model for Config.Topology: the
-// zero value is the paper's ideal direct link, TopologyOutputQueued an
-// output-queued switch with bounded drop-tail egress queues and per-port
-// occupancy/drop/latency statistics for N-node congestion scenarios.
+// Topology bounds the switch's egress queues for Config.Topology: the zero
+// value leaves them unbounded, as on the paper's two-host link, and
+// TopologyOutputQueued bounds them with drop-tail for N-node congestion
+// scenarios. Every topology keeps per-port occupancy/drop/latency
+// statistics.
 type Topology = fabric.Topology
 
 // PortStats are the switch's per-egress-port counters (see Cluster.PortStats).
@@ -100,9 +101,10 @@ type PortStats = fabric.PortStats
 
 // Fabric topology kinds.
 const (
-	// TopologyDirect is the legacy ideal model (unbounded egress).
+	// TopologyDirect leaves every egress queue unbounded (no congestion
+	// loss).
 	TopologyDirect = fabric.TopologyDirect
-	// TopologyOutputQueued bounds each egress port with a FIFO queue.
+	// TopologyOutputQueued bounds each egress queue, dropping at the tail.
 	TopologyOutputQueued = fabric.TopologyOutputQueued
 )
 
