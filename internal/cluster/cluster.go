@@ -168,6 +168,8 @@ type Cluster struct {
 	NICs    []*nic.NIC
 	Stacks  []*omx.Stack
 	RNG     *sim.RNG
+	// Pool is the frame pool every stack shares (see New).
+	Pool *wire.Pool
 	// Chaos is the scenario evaluation engine when Config.Scenario is
 	// set (nil otherwise); its counters report what the scenario did.
 	Chaos *chaos.Engine
@@ -269,6 +271,7 @@ func New(cfg Config) *Cluster {
 	if par > 1 {
 		pool.Share()
 	}
+	c.Pool = pool
 	for i := 0; i < cfg.Nodes; i++ {
 		neng := engs[c.shardOf[i]]
 		h := host.New(neng, i, p.Host)

@@ -13,7 +13,8 @@ import (
 // TestFrameConservation runs is.S.16 to completion on an unbounded and a
 // drop-tail port, each with and without random loss, and checks that the
 // fabric accounts for every frame the NICs sent: once the run drains, each
-// one was either delivered or dropped.
+// one was either delivered or dropped, and every pooled frame is back in
+// the cluster's pool.
 func TestFrameConservation(t *testing.T) {
 	// Two frames per port is small enough that drop-tail fires on is.S.16.
 	bounded := fabric.Topology{Kind: fabric.TopologyOutputQueued, EgressQueueFrames: 2}
@@ -42,6 +43,9 @@ func TestFrameConservation(t *testing.T) {
 				delivered, dropped := cl.Switch.FramesDelivered(), cl.Switch.FramesDropped()
 				if sent != delivered+dropped {
 					t.Errorf("sent %d frames, delivered %d + dropped %d = %d", sent, delivered, dropped, delivered+dropped)
+				}
+				if n := cl.Pool.Outstanding(); n != 0 {
+					t.Errorf("%d pooled frames still referenced after the run drained", n)
 				}
 				var tail uint64
 				for i := range cl.NICs {

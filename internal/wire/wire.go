@@ -235,6 +235,7 @@ type Pool struct {
 	shared bool
 	mu     sync.Mutex //omxlint:allow goroutine: frame refcounts/pool cross shard goroutines under -par (Share contract, audited in PR 6; race-checked in CI)
 	free   []*Frame
+	made   int // frames allocated, counted under mu
 }
 
 // NewPool returns an empty frame pool.
@@ -244,7 +245,8 @@ func NewPool() *Pool { return &Pool{} }
 // goroutines. Call before first use; there is no way back.
 func (p *Pool) Share() { p.shared = true }
 
-// take pops a free frame, or nil when the list is empty.
+// take pops a free frame, or returns nil, counting the frame the caller
+// then allocates, when the list is empty.
 //
 //omxlint:hotpath
 func (p *Pool) take() *Frame {
@@ -254,6 +256,7 @@ func (p *Pool) take() *Frame {
 	}
 	n := len(p.free)
 	if n == 0 {
+		p.made++
 		return nil
 	}
 	f := p.free[n-1]
@@ -272,6 +275,16 @@ func (p *Pool) put(f *Frame) {
 	}
 	//omxlint:allow hotpathalloc: free-list growth is amortized; the frame round trip is guarded at <= 1 alloc by AllocsPerRun
 	p.free = append(p.free, f)
+}
+
+// Outstanding returns how many of the pool's frames are still referenced:
+// those it has handed out and not had back. Read it while no engine runs.
+func (p *Pool) Outstanding() int {
+	if p.shared {
+		p.mu.Lock() //omxlint:allow goroutine: frame refcounts/pool cross shard goroutines under -par (Share contract, audited in PR 6; race-checked in CI)
+		defer p.mu.Unlock()
+	}
+	return p.made - len(p.free)
 }
 
 // Get returns a frame initialized exactly like NewFrame, holding one
