@@ -35,8 +35,8 @@
 // The switch can run under the conservative parallel engine (see
 // internal/sim.Group): every port is bound to a shard engine
 // (BindPort), all port state — busy horizons, admitted start times,
-// statistics, RNG stream, delivery-record free list — is touched only by
-// events running on that port's shard, and a send whose destination port
+// statistics, RNG stream — is touched only by events running on that
+// port's shard, and a send whose destination port
 // lives on another shard is parked in a per-source-shard outbox instead of
 // being scheduled directly. The synchronizer drains the outboxes between
 // windows (FlushShards) while every shard goroutine is parked.
@@ -69,9 +69,9 @@
 // full egress queue — calls Release exactly once. Duplicate delivery takes
 // one extra reference with Ref, so each of the two deliveries hands an
 // independently owned reference to the receiver. The fabric never touches a
-// frame after delivering or releasing it: in-flight delivery records and
-// the free lists they recycle through only ever hold frames the fabric
-// currently owns.
+// frame after delivering or releasing it. Its admission and delivery
+// events carry the frame itself as their argument, which the engine clears
+// when it recycles them, so no fabric state holds a frame it has handed on.
 package fabric
 
 import (
@@ -241,12 +241,6 @@ type Switch struct {
 	ports []*port
 	fault *Fault
 
-	// In-flight deliveries and pending egress-enqueue records are recycled
-	// through per-port free lists and fire through bound callbacks, so
-	// forwarding a frame never allocates.
-	deliverFn func(any)
-	enqueueFn func(any)
-
 	// outbox parks cross-shard sends, one slice per source shard so shard
 	// goroutines never contend; FlushShards drains them between windows.
 	// Nil until SetShardCount.
@@ -262,13 +256,6 @@ type xmsg struct {
 	pri uint64
 }
 
-// delivery is one scheduled frame arrival at a port (also reused as the
-// switch-internal "frame ready for egress queueing" record).
-type delivery struct {
-	p *port
-	f *wire.Frame
-}
-
 type port struct {
 	mac  wire.MAC
 	rx   Receiver
@@ -276,18 +263,20 @@ type port struct {
 
 	// Shard binding: all events touching this port's state run on eng
 	// (shard 0 / the switch's engine until BindPort says otherwise). rng is
-	// the port's private stream for its draws, priBase|++msgSeq the
-	// order-independent tie-break key for the port's sends, and delivFree
-	// the port-local record free list — each owned by the port's shard.
-	eng     *sim.Engine
-	shard   int
-	rng     *sim.RNG
-	priBase uint64
-	msgSeq  uint64
+	// the port's private stream for its draws and priBase|++msgSeq the
+	// order-independent tie-break key for the port's sends — each owned by
+	// the port's shard. enqueueFn and deliverFn are enqueueNow and
+	// deliverNow bound to the port, so its events carry only the frame.
+	eng       *sim.Engine
+	shard     int
+	rng       *sim.RNG
+	priBase   uint64
+	msgSeq    uint64
+	enqueueFn func(any)
+	deliverFn func(any)
 	// faultDrops counts this port's sends lost to fault injection (the
 	// egress-queue drop-tail counter lives in stats.Drops).
 	faultDrops uint64
-	delivFree  []*delivery
 
 	ingressBusy sim.Time // sender-side wire occupancy
 	egressBusy  sim.Time // receiver-side wire occupancy
@@ -307,10 +296,7 @@ type port struct {
 // NewSwitch creates a switch with the given link characteristics and
 // unbounded egress queues.
 func NewSwitch(eng *sim.Engine, link params.Link, rng *sim.RNG) *Switch {
-	s := &Switch{eng: eng, link: link, rng: rng, qcap: Topology{}.queueCap()}
-	s.deliverFn = func(x any) { s.deliverNow(x.(*delivery)) }
-	s.enqueueFn = func(x any) { s.enqueueNow(x.(*delivery)) }
-	return s
+	return &Switch{eng: eng, link: link, rng: rng, qcap: Topology{}.queueCap()}
 }
 
 // SetTopology installs the egress queue bound. It must be called before
@@ -345,7 +331,7 @@ func (s *Switch) Attach(mac wire.MAC, rx Receiver) {
 		s.ports = append(s.ports, make([]*port, node+1-len(s.ports))...)
 	}
 	idx := uint64(node)
-	s.ports[node] = &port{
+	p := &port{
 		mac:     mac,
 		rx:      rx,
 		node:    node,
@@ -353,6 +339,9 @@ func (s *Switch) Attach(mac wire.MAC, rx Receiver) {
 		rng:     s.rng.Derive(0xF0<<56 | idx),
 		priBase: (idx + 1) << 40,
 	}
+	p.enqueueFn = func(f any) { s.enqueueNow(p, f.(*wire.Frame)) }
+	p.deliverFn = func(f any) { s.deliverNow(p, f.(*wire.Frame)) }
+	s.ports[node] = p
 }
 
 // SetShardCount prepares the switch for sharded execution across n engines:
@@ -393,7 +382,7 @@ func (s *Switch) FlushShards() bool {
 		any = true
 		for i := range ob {
 			m := &ob[i]
-			m.p.eng.ScheduleArgPri(m.at, m.pri, s.enqueueFn, m.p.getDelivery(m.f))
+			m.p.eng.ScheduleArgPri(m.at, m.pri, m.p.enqueueFn, m.f)
 			*m = xmsg{} // don't pin frames from the recycled backing array
 		}
 		s.outbox[si] = ob[:0]
@@ -521,7 +510,7 @@ func (s *Switch) scheduleEgress(src, dst *port, f *wire.Frame, at sim.Time) {
 		s.outbox[src.shard] = append(s.outbox[src.shard], xmsg{p: dst, f: f, at: at, pri: pri})
 		return
 	}
-	dst.eng.ScheduleArgPri(at, pri, s.enqueueFn, dst.getDelivery(f))
+	dst.eng.ScheduleArgPri(at, pri, dst.enqueueFn, f)
 }
 
 // enqueueNow offers a frame to the egress queue: drop-tail when full,
@@ -532,9 +521,7 @@ func (s *Switch) scheduleEgress(src, dst *port, f *wire.Frame, at sim.Time) {
 // shard.
 //
 //omxlint:hotpath
-func (s *Switch) enqueueNow(d *delivery) {
-	p, f := d.p, d.f
-	p.putDelivery(d)
+func (s *Switch) enqueueNow(p *port, f *wire.Frame) {
 	now := p.eng.Now()
 	for p.starts.Len() > 0 && p.starts.At(0) <= now {
 		p.starts.PopFront()
@@ -555,36 +542,13 @@ func (s *Switch) enqueueNow(d *delivery) {
 	}
 	p.stats.QueueWait += start - now
 	at := start + ser + s.link.PropagationDelay + p.rng.Jitter(0, s.link.JitterSD)
-	p.eng.ScheduleArg(at, s.deliverFn, p.getDelivery(f))
+	p.eng.ScheduleArg(at, p.deliverFn, f)
 }
 
-// getDelivery takes a record for port p off p's free list. Records for a
-// port are only ever allocated and recycled by p's own shard (or by the
-// coordinator during a flush, with all shards parked), so the list needs no
-// locking.
-func (p *port) getDelivery(f *wire.Frame) *delivery {
-	var d *delivery
-	if k := len(p.delivFree); k > 0 {
-		d = p.delivFree[k-1]
-		p.delivFree[k-1] = nil
-		p.delivFree = p.delivFree[:k-1]
-	} else {
-		d = &delivery{}
-	}
-	d.p, d.f = p, f
-	return d
-}
-
-// putDelivery clears and recycles a delivery record.
-func (p *port) putDelivery(d *delivery) {
-	d.p, d.f = nil, nil
-	p.delivFree = append(p.delivFree, d)
-}
-
-// deliverNow hands the frame (and its reference) to the destination port.
-func (s *Switch) deliverNow(d *delivery) {
-	p, f := d.p, d.f
-	p.putDelivery(d)
+// deliverNow hands the frame (and its reference) to port p's receiver.
+//
+//omxlint:hotpath
+func (s *Switch) deliverNow(p *port, f *wire.Frame) {
 	p.stats.FramesDelivered++
 	p.stats.BytesDelivered += uint64(f.WireBytes())
 	p.rx.ReceiveFrame(f)

@@ -370,7 +370,7 @@ func TestQueuedPortMatchesReference(t *testing.T) {
 			f := wire.NewFrame(wire.NodeMAC(src+1), mac, h, nil, size)
 			lastSer = link.SerializationTime(f.WireBytes())
 
-			eng.ScheduleArgPri(at, pri, sw.enqueueFn, p.getDelivery(f))
+			eng.ScheduleArgPri(at, pri, p.enqueueFn, f)
 			eng.ScheduleArgPri(at, pri, func(any) { qlen = append(qlen, sw.QueueLen(mac)) }, nil)
 			rf := wire.NewFrame(wire.NodeMAC(src+1), mac, h, nil, size)
 			reng.ScheduleArgPri(at, pri, ref.enqueue, rf)

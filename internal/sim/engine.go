@@ -22,8 +22,11 @@
 // # Event ownership and recycling
 //
 // The engine owns every *Event it returns and recycles fired or cancelled
-// events through an internal free list, so steady-state scheduling performs
-// no allocation. That gives event handles arena semantics:
+// events through a free list threaded through the events themselves, so
+// steady-state scheduling performs no allocation. An event's callback is
+// its only liveness mark: Cancel and recycling both clear it, with its
+// argument, and the wheel discards events whose callback is nil. That
+// gives event handles arena semantics:
 //
 //   - A handle returned by Schedule/After is valid until its callback starts
 //     (or, for cancelled events, until the engine discards them in Step or
@@ -46,10 +49,11 @@
 // a 4-ary overflow heap for events beyond the ~275 s level-2 horizon.
 // Each level-0 slot keeps its events sorted in (at, pri, seq) order;
 // scheduling is O(1) for in-order arrivals (bitwise slot placement plus an
-// intrusive list append) and dispatch is amortized O(1) (bitmap scans to
-// the next populated slot; a slot drains head-first with no rescan, so
-// Engine.Step dispatches its events back-to-back). Events cascade down at
-// most two levels as the clock approaches them. The wheel pops live
+// intrusive list append, inline for level 0, where nearly every event
+// lands) and dispatch is amortized O(1) (bitmap scans to the next
+// populated slot; a slot drains head-first with no rescan, so Engine.Step
+// dispatches its events back-to-back). Events cascade down at most two
+// levels as the clock approaches them. The wheel pops live
 // events in the exact (at, pri, seq) total order; the determinism argument
 // lives with the Wheel type, and the package tests check the order against
 // an independent reference heap.
@@ -83,6 +87,9 @@ const (
 // callers can cancel it (e.g. a coalescing timer that is reset when the
 // interrupt fires early). See the package comment for the handle lifetime
 // rules: an Event is recycled once it fires or its cancellation is observed.
+//
+// An Event is 64 bytes, one cache line, so filing, popping and firing it
+// touches one line of the event itself.
 type Event struct {
 	at Time
 	// pri is the cross-shard priority key: 0 for ordinary events, a
@@ -91,35 +98,34 @@ type Event struct {
 	// and seq in the queue's total order.
 	pri uint64
 	seq uint64
-	fn  func()
+	// afn(arg) is the callback; Schedule stores callFunc with the func()
+	// as arg. A nil afn marks an event cancelled or recycled.
 	afn func(any)
 	arg any
 	// next and prev thread the intrusive list of a timing-wheel slot (prev
-	// only at level 0, see evList). They are owned by the wheel while the
-	// event is queued. With prev the struct is 80 bytes, the top of Go's
-	// 80-byte size class; a guard test keeps it there.
+	// only at level 0, see evList) while the event is queued, and next
+	// threads the engine's free list once it is recycled.
 	next, prev *Event
-	cancelled  bool
 }
 
 // At returns the virtual time the event is scheduled for.
 func (ev *Event) At() Time { return ev.at }
 
-// Cancelled reports whether Cancel was called on the event.
-func (ev *Event) Cancelled() bool { return ev.cancelled }
+// Cancelled reports whether the event's callback will no longer run: it
+// was cancelled, or it fired and was recycled.
+func (ev *Event) Cancelled() bool { return ev.afn == nil }
 
-// Cancel prevents the event's callback from running. Cancelling an event that
-// was already cancelled is a no-op. Cancel must not be called on an event
-// whose callback has already started: the engine may have recycled it (see
-// the package comment).
-func (ev *Event) Cancel() { ev.cancelled = true }
+// Cancel prevents the event's callback from running and drops its
+// argument. Cancelling an event that was already cancelled is a no-op.
+// Cancel must not be called on an event whose callback has already
+// started: the engine may have recycled it (see the package comment).
+func (ev *Event) Cancel() { ev.afn, ev.arg = nil, nil }
 
 // Engine is a single-threaded discrete-event scheduler. It is not safe for
 // concurrent use; the process layer (internal/proc) serializes all access.
 type Engine struct {
 	now     Time
-	wheel   *Wheel
-	free    []*Event
+	free    *Event // recycled events, linked through Event.next
 	seq     uint64
 	stopped bool
 	// Executed counts callbacks run, for diagnostics and budget guards.
@@ -127,12 +133,13 @@ type Engine struct {
 	// Limit, when non-zero, aborts Run with a panic after this many events.
 	// It exists to catch runaway protocol loops in tests.
 	Limit uint64
+	wheel Wheel
 }
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
 	e := &Engine{}
-	e.wheel = newWheel(e)
+	e.wheel.eng = e
 	return e
 }
 
@@ -143,52 +150,50 @@ func (e *Engine) Now() Time { return e.now }
 // events that have not yet been discarded).
 func (e *Engine) Pending() int { return e.wheel.n }
 
-// alloc takes an Event from the free list (or the Go heap when empty) and
-// stamps it.
+// schedule takes an Event from the free list (or the Go heap when empty),
+// stamps it and files it. Scheduling in the past panics: it is always a
+// model bug. So does a nil callback, which would read as cancelled.
 //
 //omxlint:hotpath
-func (e *Engine) alloc(at Time) *Event {
-	var ev *Event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free = e.free[:n-1]
+func (e *Engine) schedule(at Time, pri uint64, afn func(any), arg any) *Event {
+	if at < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", at, e.now))
+	}
+	if afn == nil {
+		panic("sim: nil callback")
+	}
+	ev := e.free
+	if ev != nil {
+		e.free = ev.next
 	} else {
 		//omxlint:allow hotpathalloc: cold-path free-list refill; steady state recycles (guarded by the ZeroAllocSteadyState tests)
 		ev = &Event{}
 	}
-	ev.at = at
-	ev.pri = 0
-	ev.seq = e.seq
-	ev.cancelled = false
+	ev.at, ev.pri, ev.seq, ev.afn, ev.arg = at, pri, e.seq, afn, arg
 	e.seq++
-	return ev
-}
-
-// release recycles a fired or discarded event. Callback references are
-// cleared so the free list never pins driver state for the GC; the list
-// links are left stale on purpose — every consumer (list append, ordered
-// insert) overwrites them before use.
-//
-//omxlint:hotpath
-func (e *Engine) release(ev *Event) {
-	ev.fn = nil
-	ev.afn = nil
-	ev.arg = nil
-	//omxlint:allow hotpathalloc: free-list growth is amortized; steady state is append-into-capacity (guarded by the ZeroAllocSteadyState tests)
-	e.free = append(e.free, ev)
-}
-
-// Schedule runs fn at virtual time at. Scheduling in the past panics: it is
-// always a model bug.
-func (e *Engine) Schedule(at Time, fn func()) *Event {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", at, e.now))
-	}
-	ev := e.alloc(at)
-	ev.fn = fn
 	e.wheel.push(ev)
 	return ev
 }
+
+// release recycles a fired or discarded event onto the free list. The
+// callback and its argument are cleared so the free list never pins
+// driver state for the GC; prev is left stale on purpose — every consumer
+// (list append, ordered insert) overwrites it before use.
+//
+//omxlint:hotpath
+func (e *Engine) release(ev *Event) {
+	ev.afn, ev.arg = nil, nil
+	ev.next, e.free = e.free, ev
+}
+
+// callFunc is the callback of every Schedule/After event: its argument is
+// the func() to run. A func value converts to any without allocating.
+//
+//omxlint:hotpath
+func callFunc(fn any) { fn.(func())() }
+
+// Schedule runs fn at virtual time at.
+func (e *Engine) Schedule(at Time, fn func()) *Event { return e.schedule(at, 0, callFunc, fn) }
 
 // ScheduleArg runs fn(arg) at virtual time at. It is the allocation-free
 // variant of Schedule for hot paths: a long-lived fn (bound once at
@@ -197,14 +202,7 @@ func (e *Engine) Schedule(at Time, fn func()) *Event {
 //
 //omxlint:hotpath
 func (e *Engine) ScheduleArg(at Time, fn func(any), arg any) *Event {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", at, e.now))
-	}
-	ev := e.alloc(at)
-	ev.afn = fn
-	ev.arg = arg
-	e.wheel.push(ev)
-	return ev
+	return e.schedule(at, 0, fn, arg)
 }
 
 // ScheduleArgPri is ScheduleArg with an explicit cross-shard priority key
@@ -216,15 +214,7 @@ func (e *Engine) ScheduleArg(at Time, fn func(any), arg any) *Event {
 //
 //omxlint:hotpath
 func (e *Engine) ScheduleArgPri(at Time, pri uint64, fn func(any), arg any) *Event {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", at, e.now))
-	}
-	ev := e.alloc(at)
-	ev.pri = pri
-	ev.afn = fn
-	ev.arg = arg
-	e.wheel.push(ev)
-	return ev
+	return e.schedule(at, pri, fn, arg)
 }
 
 // After runs fn d nanoseconds from now. Negative d panics.
@@ -281,12 +271,7 @@ func (e *Engine) runEvent(ev *Event) {
 	if e.Executed%yieldEvery == 0 {
 		runtime.Gosched()
 	}
-	fn, afn, arg := ev.fn, ev.afn, ev.arg
-	if fn != nil {
-		fn()
-	} else {
-		afn(arg)
-	}
+	ev.afn(ev.arg)
 	// Recycle only after the callback: handles held by driver state are
 	// cleared inside the callback itself, so reuse cannot race them.
 	e.release(ev)

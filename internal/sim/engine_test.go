@@ -74,6 +74,54 @@ func TestEngineCancel(t *testing.T) {
 	}
 }
 
+// A nil afn marks an event cancelled, so ScheduleArg and ScheduleArgPri
+// refuse a nil callback when it is scheduled, before the event is filed,
+// rather than letting it read as cancelled.
+func TestScheduleNilCallbackPanics(t *testing.T) {
+	e := NewEngine()
+	for _, c := range []struct {
+		name     string
+		schedule func()
+	}{
+		{"ScheduleArg", func() { e.ScheduleArg(10, nil, nil) }},
+		{"ScheduleArgPri", func() { e.ScheduleArgPri(10, 1, nil, nil) }},
+		{"AfterArg", func() { e.AfterArg(10, nil, nil) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s with a nil callback did not panic", c.name)
+				}
+			}()
+			c.schedule()
+		}()
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("Pending = %d after refused schedules, want 0", e.Pending())
+	}
+}
+
+// Cancel marks the event cancelled and drops its argument, so a cancelled
+// event waiting in the wheel pins nothing of its driver's.
+func TestCancelDropsArg(t *testing.T) {
+	e := NewEngine()
+	ev := e.ScheduleArg(10, func(any) { t.Error("cancelled event ran") }, new(int))
+	fev := e.After(20, func() { t.Error("cancelled event ran") })
+	for _, ev := range []*Event{ev, fev} {
+		if ev.Cancelled() {
+			t.Fatal("Cancelled() = true before Cancel")
+		}
+		ev.Cancel()
+		if !ev.Cancelled() || ev.arg != nil {
+			t.Fatalf("after Cancel: Cancelled() = %v, arg = %v; want true and nil", ev.Cancelled(), ev.arg)
+		}
+	}
+	e.Run()
+	if e.Pending() != 0 || e.Executed != 0 {
+		t.Fatalf("Pending = %d, Executed = %d after Run, want 0 and 0", e.Pending(), e.Executed)
+	}
+}
+
 func TestEngineCancelAfterFire(t *testing.T) {
 	e := NewEngine()
 	n := 0

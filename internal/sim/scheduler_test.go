@@ -8,18 +8,29 @@ import (
 )
 
 // refEngine is the twin harness's oracle: one binary heap over every
-// pending event, ordered by its own (at, pri, seq) comparison rather than
-// the wheel's before, so an ordering bug in the production path cannot
-// hide on both sides of the comparison. It allocates a fresh Event per
-// schedule and never recycles one.
+// pending event, ordered by the (at, pri, seq) each entry records for
+// itself rather than by the wheel's before or any Event field, so an
+// ordering bug in the production path cannot hide on both sides of the
+// comparison. Each schedule makes a fresh entry, and a fresh Event that
+// serves only as the caller's cancel handle; neither is ever recycled.
 type refEngine struct {
 	now Time
 	seq uint64
 	q   refQueue
 }
 
+// refEntry is one pending event of the reference engine.
+type refEntry struct {
+	at  Time
+	pri uint64
+	seq uint64
+	afn func(any)
+	arg any
+	h   *Event // the handle returned to the caller, for Cancel
+}
+
 // refQueue is the container/heap form of the reference event queue.
-type refQueue []*Event
+type refQueue []*refEntry
 
 func (q refQueue) Len() int      { return len(q) }
 func (q refQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
@@ -34,31 +45,19 @@ func (q refQueue) Less(i, j int) bool {
 		return a.seq < b.seq
 	}
 }
-func (q *refQueue) Push(x any) { *q = append(*q, x.(*Event)) }
+func (q *refQueue) Push(x any) { *q = append(*q, x.(*refEntry)) }
 func (q *refQueue) Pop() any {
 	old := *q
-	ev := old[len(old)-1]
+	ent := old[len(old)-1]
 	*q = old[:len(old)-1]
-	return ev
+	return ent
 }
 
 func (r *refEngine) Now() Time    { return r.now }
 func (r *refEngine) Pending() int { return len(r.q) }
 
-func (r *refEngine) add(at Time, pri uint64) *Event {
-	if at < r.now {
-		panic(fmt.Sprintf("ref: scheduling event at %d before now %d", at, r.now))
-	}
-	ev := &Event{at: at, pri: pri, seq: r.seq}
-	r.seq++
-	heap.Push(&r.q, ev)
-	return ev
-}
-
 func (r *refEngine) Schedule(at Time, fn func()) *Event {
-	ev := r.add(at, 0)
-	ev.fn = fn
-	return ev
+	return r.ScheduleArgPri(at, 0, func(any) { fn() }, nil)
 }
 
 func (r *refEngine) ScheduleArg(at Time, fn func(any), arg any) *Event {
@@ -66,44 +65,45 @@ func (r *refEngine) ScheduleArg(at Time, fn func(any), arg any) *Event {
 }
 
 func (r *refEngine) ScheduleArgPri(at Time, pri uint64, fn func(any), arg any) *Event {
-	ev := r.add(at, pri)
-	ev.afn, ev.arg = fn, arg
-	return ev
+	if at < r.now {
+		panic(fmt.Sprintf("ref: scheduling event at %d before now %d", at, r.now))
+	}
+	ent := &refEntry{at: at, pri: pri, seq: r.seq, afn: fn, arg: arg, h: &Event{afn: fn}}
+	r.seq++
+	heap.Push(&r.q, ent)
+	return ent.h
 }
 
 func (r *refEngine) After(d Time, fn func()) *Event { return r.Schedule(r.now+d, fn) }
 
-// next removes the minimum live event at or before t, discarding
-// cancelled events it meets at the top of the heap.
-func (r *refEngine) next(t Time) *Event {
+// next removes the minimum live entry at or before t, discarding
+// cancelled entries it meets at the top of the heap.
+func (r *refEngine) next(t Time) *refEntry {
 	for len(r.q) > 0 {
-		ev := r.q[0]
-		if !ev.cancelled && ev.at > t {
+		ent := r.q[0]
+		live := !ent.h.Cancelled()
+		if live && ent.at > t {
 			return nil
 		}
 		heap.Pop(&r.q)
-		if !ev.cancelled {
-			return ev
+		if live {
+			return ent
 		}
 	}
 	return nil
 }
 
-func (r *refEngine) fire(ev *Event) {
-	r.now = ev.at
-	if ev.fn != nil {
-		ev.fn()
-	} else {
-		ev.afn(ev.arg)
-	}
+func (r *refEngine) fire(ent *refEntry) {
+	r.now = ent.at
+	ent.afn(ent.arg)
 }
 
 func (r *refEngine) Step() bool {
-	ev := r.next(maxHorizon)
-	if ev != nil {
-		r.fire(ev)
+	ent := r.next(maxHorizon)
+	if ent != nil {
+		r.fire(ent)
 	}
-	return ev != nil
+	return ent != nil
 }
 
 func (r *refEngine) Run() {
@@ -112,8 +112,8 @@ func (r *refEngine) Run() {
 }
 
 func (r *refEngine) RunUntil(t Time) {
-	for ev := r.next(t); ev != nil; ev = r.next(t) {
-		r.fire(ev)
+	for ent := r.next(t); ent != nil; ent = r.next(t) {
+		r.fire(ent)
 	}
 	if r.now < t {
 		r.now = t
@@ -386,7 +386,7 @@ func TestWheelCancelAcrossLevels(t *testing.T) {
 	for _, c := range delays {
 		id++
 		tw.schedule(id, c.d, false) // survivor
-		if got := parkedLevel(tw.engines[0].(*Engine).wheel, tw.pending[0][len(tw.pending[0])-1]); got != c.level {
+		if got := parkedLevel(&tw.engines[0].(*Engine).wheel, tw.pending[0][len(tw.pending[0])-1]); got != c.level {
 			t.Fatalf("delay %d parked at level %d, want %d", c.d, got, c.level)
 		}
 		id++
@@ -418,7 +418,7 @@ func TestWheelRunUntilHorizonThenEarlierSchedule(t *testing.T) {
 			var got []Time
 			log := func() { got = append(got, e.Now()) }
 			ev := e.Schedule(parked, log)
-			if l := parkedLevel(e.wheel, ev); l != 1 {
+			if l := parkedLevel(&e.wheel, ev); l != 1 {
 				t.Fatalf("event at %d parked at level %d, want 1", parked, l)
 			}
 			e.RunUntil(horizon) // probes far ahead, fires nothing
@@ -452,7 +452,7 @@ func TestSchedulersZeroAllocSteadyState(t *testing.T) {
 		}
 		for e.Step() {
 		}
-		if l := parkedLevel(e.wheel, e.After(span0+span0/4, fn)); l != 1 {
+		if l := parkedLevel(&e.wheel, e.After(span0+span0/4, fn)); l != 1 {
 			t.Fatalf("timer 1.25 level-0 spans out parked at level %d, want 1", l)
 		}
 		for e.Step() {

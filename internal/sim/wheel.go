@@ -54,8 +54,9 @@ import "math/bits"
 //     another epoch (cancelled leftovers are trimmed before the cursor
 //     leaves a slot).
 //  2. Level-0 slots are explicitly ordered: every insertion into level 0 —
-//     direct push, cascade, overflow drain — goes through an (at, pri, seq)
-//     ordered insert (see evList.insertOrdered), so each slot list is
+//     direct push, cascade, overflow drain — is an (at, pri, seq) ordered
+//     insert (evList.insertOrdered, whose empty-slot and append cases push
+//     files inline), so each slot list is
 //     sorted and its head is the slot minimum regardless of arrival order.
 //     A slot spans 64 timestamps, so this is what orders events within it;
 //     together with invariant 1 the first live head in slot order is the
@@ -76,18 +77,25 @@ import "math/bits"
 //
 // # Cost model
 //
-// push is O(1) for in-order arrivals: three epoch compares, a list append,
-// a bitmap OR. An arrival that precedes events already in its slot walks
-// back from the tail over the events it precedes, at most the slot's
-// occupancy. popLE is amortized O(1): same-slot bursts drain from the
-// cursor's slot without rescanning (the slot's bit stays set while events
-// remain — this is what batches dispatch in Engine.Step and RunUntil),
-// gaps are crossed with a two-level bitmap (one summary word of non-empty
-// 64-slot groups per level, then one trailing-zeros scan), a sparse slot
-// pops directly from its level without cascading (takeSingle), and each
-// event otherwise cascades at most twice on its way down. The overflow
-// heap only sees events more than ~275 virtual seconds ahead, which no
-// workload in the repository does.
+// push is O(1) for in-order arrivals, and a level-0 push, nearly every
+// one, is filed inline: one epoch compare, then into an empty slot a head
+// and tail store and two bitmap ORs, or an append after the slot's tail.
+// An arrival that precedes events already in its slot walks back from the
+// tail over the events it precedes, at most the slot's occupancy. popLE
+// is amortized O(1): same-slot bursts drain from the cursor's slot without
+// rescanning (the slot's bit stays set while events remain — this is what
+// batches dispatch in Engine.Step and RunUntil), gaps are crossed with a
+// two-level bitmap (one summary word of non-empty 64-slot groups per
+// level, then one trailing-zeros scan), a sparse slot pops directly from
+// its level without cascading (takeSingle), and each event otherwise
+// cascades at most twice on its way down. The overflow heap only sees
+// events more than ~275 virtual seconds ahead, which no workload in the
+// repository does.
+//
+// The slot lists and bitmaps are fixed-size arrays (~100 KB) held by value
+// in the Engine, so each engine is one allocation, and the level-0 paths
+// index them at constant offsets from the wheel with no slice header to
+// load.
 type Wheel struct {
 	// cur is the committed cursor: every live event with at < cur has been
 	// popped. It only advances when popLE returns an event or a bounded
@@ -96,11 +104,14 @@ type Wheel struct {
 	n   int
 	eng *Engine
 	// sum[l] bit w mirrors "bits[l][w] != 0": the two-level bitmap that
-	// finds the next populated slot in O(1).
-	sum   [wheelLevels]uint64
-	bits  [wheelLevels][]uint64
-	slots [wheelLevels][]evList
-	over  heap4
+	// finds the next populated slot in O(1). Levels 1 and 2 use only the
+	// first l1Slots/64 words of theirs.
+	sum  [wheelLevels]uint64
+	bits [wheelLevels][l0Slots / 64]uint64
+	// l0 holds level 0's slots, up levels 1 and 2, which have l1Slots each.
+	l0   [l0Slots]evList
+	up   [wheelLevels - 1][l1Slots]evList
+	over heap4
 }
 
 const (
@@ -108,7 +119,7 @@ const (
 
 	l0Bits  = 12
 	l1Bits  = 10
-	l2Bits  = 10
+	l2Bits  = l1Bits
 	l0Slots = 1 << l0Bits
 	l1Slots = 1 << l1Bits
 	l2Slots = 1 << l2Bits
@@ -189,19 +200,6 @@ func (q *evList) popFront() bool {
 	return false
 }
 
-// newWheel returns an empty timing wheel that recycles discarded events
-// through eng's free list.
-func newWheel(eng *Engine) *Wheel {
-	w := &Wheel{eng: eng}
-	w.slots[0] = make([]evList, l0Slots)
-	w.slots[1] = make([]evList, l1Slots)
-	w.slots[2] = make([]evList, l2Slots)
-	w.bits[0] = make([]uint64, l0Slots/64)
-	w.bits[1] = make([]uint64, l1Slots/64)
-	w.bits[2] = make([]uint64, l2Slots/64)
-	return w
-}
-
 //omxlint:hotpath
 func (w *Wheel) setBit(level, idx int) {
 	w.bits[level][idx>>6] |= 1 << uint(idx&63)
@@ -221,7 +219,7 @@ func (w *Wheel) clearBit(level, idx int) {
 //
 //omxlint:hotpath
 func (w *Wheel) findBit(level, from int) int {
-	b := w.bits[level]
+	b := &w.bits[level]
 	word := from >> 6
 	if word >= len(b) {
 		return -1
@@ -250,9 +248,9 @@ func (w *Wheel) findBit(level, from int) int {
 //omxlint:hotpath
 func (w *Wheel) put(level, idx int, ev *Event) {
 	if level == 0 {
-		w.slots[0][idx].insertOrdered(ev)
+		w.l0[idx].insertOrdered(ev)
 	} else {
-		w.slots[level][idx].pushBack(ev)
+		w.up[level-1][idx].pushBack(ev)
 	}
 	w.setBit(level, idx)
 }
@@ -278,12 +276,29 @@ func (w *Wheel) place(base Time, ev *Event) {
 
 // push files a freshly stamped event. The engine never schedules before
 // now, and the cursor never runs ahead of now (invariant 3), so the event
-// lands at or after the cursor.
+// lands at or after the cursor. Level 0 is filed inline (see the cost
+// model); only an out-of-order arrival walks its slot.
 //
 //omxlint:hotpath
 func (w *Wheel) push(ev *Event) {
 	w.n++
-	w.place(w.cur, ev)
+	if ev.at>>l1Shift != w.cur>>l1Shift {
+		w.place(w.cur, ev)
+		return
+	}
+	idx := int((ev.at >> l0Shift) & l0Mask)
+	q := &w.l0[idx]
+	switch tail := q.tail; {
+	case tail == nil:
+		ev.next, ev.prev = nil, nil
+		q.head, q.tail = ev, ev
+		w.setBit(0, idx)
+	case before(tail, ev):
+		ev.next, ev.prev = nil, tail
+		tail.next, q.tail = ev, ev
+	default:
+		q.insertOrdered(ev)
+	}
 }
 
 // cascade redistributes a level-1 or level-2 slot one level down, releasing
@@ -292,14 +307,14 @@ func (w *Wheel) push(ev *Event) {
 //
 //omxlint:hotpath
 func (w *Wheel) cascade(level, idx int) {
-	q := &w.slots[level][idx]
+	q := &w.up[level-1][idx]
 	ev := q.head
 	q.head, q.tail = nil, nil
 	w.clearBit(level, idx)
 	for ev != nil {
 		next := ev.next
 		switch {
-		case ev.cancelled:
+		case ev.afn == nil:
 			w.n--
 			w.eng.release(ev)
 		case level == 1:
@@ -325,9 +340,9 @@ func (w *Wheel) popLE(t Time) *Event {
 		// and each holds its events in (at, pri, seq) order, so the first
 		// live event in index order is the global minimum.
 		for idx := w.findBit(0, int((lc>>l0Shift)&l0Mask)); idx >= 0; idx = w.findBit(0, idx+1) {
-			q := &w.slots[0][idx]
+			q := &w.l0[idx]
 			for ev := q.head; ev != nil; ev = q.head {
-				live := !ev.cancelled
+				live := ev.afn != nil
 				if live && ev.at > t {
 					if w.cur < t {
 						w.cur = t
@@ -394,7 +409,7 @@ func (w *Wheel) popLE(t Time) *Event {
 			if top == nil {
 				return nil
 			}
-			if !top.cancelled {
+			if top.afn != nil {
 				break
 			}
 			w.over.pop()
@@ -431,7 +446,7 @@ func (w *Wheel) popLE(t Time) *Event {
 				break
 			}
 			w.over.pop()
-			if top.cancelled {
+			if top.afn == nil {
 				w.n--
 				w.eng.release(top)
 				continue
@@ -452,12 +467,12 @@ func (w *Wheel) popLE(t Time) *Event {
 //
 //omxlint:hotpath
 func (w *Wheel) takeSingle(level, idx int, t Time) *Event {
-	q := &w.slots[level][idx]
+	q := &w.up[level-1][idx]
 	ev := q.head
 	if ev.next != nil {
 		return nil
 	}
-	if ev.cancelled {
+	if ev.afn == nil {
 		q.head, q.tail = nil, nil
 		w.clearBit(level, idx)
 		w.n--
@@ -505,7 +520,7 @@ func (w *Wheel) peek() *Event {
 	}
 	for {
 		top := w.over.peek()
-		if top == nil || !top.cancelled {
+		if top == nil || top.afn != nil {
 			return top
 		}
 		w.over.pop()
@@ -518,9 +533,9 @@ func (w *Wheel) peek() *Event {
 // returns the first live event without removing it, or nil (clearing the
 // slot's bit) when only cancelled events remained.
 func (w *Wheel) peekSlot0(idx int) *Event {
-	q := &w.slots[0][idx]
+	q := &w.l0[idx]
 	for ev := q.head; ev != nil; ev = q.head {
-		if !ev.cancelled {
+		if ev.afn != nil {
 			return ev
 		}
 		if q.popFront() {
@@ -536,10 +551,10 @@ func (w *Wheel) peekSlot0(idx int) *Event {
 // and releasing cancelled events along the way. Equal timestamps keep the
 // first (lowest-seq) entry, preserving FIFO semantics.
 func (w *Wheel) peekSlotMin(level, idx int) *Event {
-	q := &w.slots[level][idx]
+	q := &w.up[level-1][idx]
 	var prev, best *Event
 	for ev := q.head; ev != nil; {
-		if ev.cancelled {
+		if ev.afn == nil {
 			next := ev.next
 			if prev == nil {
 				q.head = next

@@ -10,12 +10,23 @@ import (
 // parkedLevel reports where the wheel holds ev: its level, wheelLevels
 // for the overflow heap, or -1 when ev is not queued.
 func parkedLevel(w *Wheel, ev *Event) int {
-	for l := range w.slots {
-		for i := range w.slots[l] {
-			for p := w.slots[l][i].head; p != nil; p = p.next {
-				if p == ev {
-					return l
-				}
+	holds := func(q *evList) bool {
+		for p := q.head; p != nil; p = p.next {
+			if p == ev {
+				return true
+			}
+		}
+		return false
+	}
+	for i := range w.l0 {
+		if holds(&w.l0[i]) {
+			return 0
+		}
+	}
+	for l := range w.up {
+		for i := range w.up[l] {
+			if holds(&w.up[l][i]) {
+				return l + 1
 			}
 		}
 	}
@@ -27,12 +38,13 @@ func parkedLevel(w *Wheel, ev *Event) int {
 	return -1
 }
 
-// TestEventFitsSizeClass guards the Event layout: 80 bytes is the top of
-// Go's 80-byte allocation size class, so a field added past it would
-// move every event into the 96-byte class.
+// TestEventFitsSizeClass guards the Event layout: 64 bytes is one cache
+// line and the top of Go's 64-byte allocation size class, so a field added
+// past it would spread every event over two lines and move it into the
+// 80-byte class.
 func TestEventFitsSizeClass(t *testing.T) {
-	if size := unsafe.Sizeof(Event{}); size > 80 {
-		t.Fatalf("Event is %d bytes, want at most 80", size)
+	if size := unsafe.Sizeof(Event{}); size > 64 {
+		t.Fatalf("Event is %d bytes, want at most 64", size)
 	}
 }
 
@@ -43,7 +55,7 @@ func TestEventFitsSizeClass(t *testing.T) {
 func TestWheelFiles200usAtLevel0(t *testing.T) {
 	e := NewEngine()
 	ev := e.After(200*Microsecond, func() {})
-	w := e.wheel
+	w := &e.wheel
 	idx := int((ev.At() >> l0Shift) & l0Mask)
 	if w.bits[0][idx>>6]&(1<<uint(idx&63)) == 0 {
 		t.Fatalf("level-0 bit %d not set for an event 200 µs ahead", idx)
@@ -90,13 +102,13 @@ func TestWheelDenseSlot(t *testing.T) {
 			for id := 1; id <= 64; id++ {
 				schedule(id, c.slot+Time(r.Intn(int(width))))
 			}
-			w := tw.engines[0].(*Engine).wheel
+			w := &tw.engines[0].(*Engine).wheel
 			if l := parkedLevel(w, tw.pending[0][0]); l != c.level {
 				t.Fatalf("slot event parked at level %d, want %d", l, c.level)
 			}
 			if c.level == 0 {
 				n := 0
-				for ev := w.slots[0][(c.slot>>l0Shift)&l0Mask].head; ev != nil; ev = ev.next {
+				for ev := w.l0[(c.slot>>l0Shift)&l0Mask].head; ev != nil; ev = ev.next {
 					n++
 				}
 				if n != 64 {
