@@ -338,8 +338,16 @@ func (w *Wheel) popLE(t Time) *Event {
 	for {
 		// Level 0: within lc's epoch the set slots are ordered by time
 		// and each holds its events in (at, pri, seq) order, so the first
-		// live event in index order is the global minimum.
-		for idx := w.findBit(0, int((lc>>l0Shift)&l0Mask)); idx >= 0; idx = w.findBit(0, idx+1) {
+		// live event in index order is the global minimum. The next event
+		// is nearly always within 64 slots of the cursor, in its bitmap
+		// word, which is read here before falling back to findBit.
+		idx := int((lc >> l0Shift) & l0Mask)
+		if v := w.bits[0][idx>>6] >> uint(idx&63); v != 0 {
+			idx += bits.TrailingZeros64(v)
+		} else {
+			idx = w.findBit(0, idx)
+		}
+		for ; idx >= 0; idx = w.findBit(0, idx+1) {
 			q := &w.l0[idx]
 			for ev := q.head; ev != nil; ev = q.head {
 				live := ev.afn != nil
