@@ -53,10 +53,10 @@
 // lands) and dispatch is amortized O(1) (bitmap scans to the next
 // populated slot; a slot drains head-first with no rescan, so Engine.Step
 // dispatches its events back-to-back). Events cascade down at most two
-// levels as the clock approaches them. The wheel pops live
-// events in the exact (at, pri, seq) total order; the determinism argument
-// lives with the Wheel type, and the package tests check the order against
-// an independent reference heap.
+// levels as the clock approaches them. The wheel pops live events in the
+// exact (at, pri, seq) total order; the determinism argument lives with
+// the Wheel type, and the package tests check the order against an
+// independent reference heap.
 //
 // # Per-packet queues
 //
@@ -192,13 +192,15 @@ func (e *Engine) release(ev *Event) {
 //omxlint:hotpath
 func callFunc(fn any) { fn.(func())() }
 
-// Schedule runs fn at virtual time at.
+// Schedule runs fn at virtual time at. Scheduling in the past panics: it is
+// always a model bug.
 func (e *Engine) Schedule(at Time, fn func()) *Event { return e.schedule(at, 0, callFunc, fn) }
 
 // ScheduleArg runs fn(arg) at virtual time at. It is the allocation-free
 // variant of Schedule for hot paths: a long-lived fn (bound once at
 // subsystem construction) plus a pointer-typed arg schedule without any
-// per-call closure or boxing allocation.
+// per-call closure or boxing allocation. A nil fn panics here, not when
+// the event would fire.
 //
 //omxlint:hotpath
 func (e *Engine) ScheduleArg(at Time, fn func(any), arg any) *Event {

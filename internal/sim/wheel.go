@@ -56,14 +56,14 @@ import "math/bits"
 //  2. Level-0 slots are explicitly ordered: every insertion into level 0 —
 //     direct push, cascade, overflow drain — is an (at, pri, seq) ordered
 //     insert (evList.insertOrdered, whose empty-slot and append cases push
-//     files inline), so each slot list is
-//     sorted and its head is the slot minimum regardless of arrival order.
-//     A slot spans 64 timestamps, so this is what orders events within it;
-//     together with invariant 1 the first live head in slot order is the
-//     queue minimum. Arrivals mostly come in order (pushes carry
-//     monotonically increasing seq, most events of a slot are scheduled
-//     in time order, cascades preserve list order and the overflow heap
-//     drains in order), so the insert is usually an O(1) append.
+//     files inline), so each slot list is sorted and its head is the slot
+//     minimum regardless of arrival order. A slot spans 64 timestamps, so
+//     this is what orders events within it; together with invariant 1 the
+//     first live head in slot order is the queue minimum. Arrivals mostly
+//     come in order (pushes carry monotonically increasing seq, most
+//     events of a slot are scheduled in time order, cascades preserve list
+//     order and the overflow heap drains in order), so the insert is
+//     usually an O(1) append.
 //  3. The cursor never outruns the commit point: it advances to a popped
 //     event's timestamp, or to a RunUntil horizon t that the engine then
 //     adopts as now, and cascades only touch slots that start at or before
