@@ -36,10 +36,10 @@
 // internal/sim.Group): every port is bound to a shard engine
 // (BindPort), all port state — busy horizons, admitted start times,
 // statistics, RNG stream — is touched only by events running on that
-// port's shard, and a send whose destination port
-// lives on another shard is parked in a per-source-shard outbox instead of
-// being scheduled directly. The synchronizer drains the outboxes between
-// windows (FlushShards) while every shard goroutine is parked.
+// port's shard, and a send whose destination port lives on another shard
+// is parked in a per-source-shard outbox instead of being scheduled
+// directly. The synchronizer drains the outboxes between windows
+// (FlushShards) while every shard goroutine is parked.
 //
 // The switch supplies the two properties the synchronizer's determinism
 // argument needs:

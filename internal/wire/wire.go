@@ -279,13 +279,7 @@ func (p *Pool) put(f *Frame) {
 
 // Outstanding returns how many of the pool's frames are still referenced:
 // those it has handed out and not had back. Read it while no engine runs.
-func (p *Pool) Outstanding() int {
-	if p.shared {
-		p.mu.Lock() //omxlint:allow goroutine: frame refcounts/pool cross shard goroutines under -par (Share contract, audited in PR 6; race-checked in CI)
-		defer p.mu.Unlock()
-	}
-	return p.made - len(p.free)
-}
+func (p *Pool) Outstanding() int { return p.made - len(p.free) }
 
 // Get returns a frame initialized exactly like NewFrame, holding one
 // reference, recycling a free frame when available.
