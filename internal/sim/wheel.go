@@ -338,9 +338,9 @@ func (w *Wheel) popLE(t Time) *Event {
 	for {
 		// Level 0: within lc's epoch the set slots are ordered by time
 		// and each holds its events in (at, pri, seq) order, so the first
-		// live event in index order is the global minimum. The next event
-		// is nearly always within 64 slots of the cursor, in its bitmap
-		// word, which is read here before falling back to findBit.
+		// live event in index order is the global minimum. The cursor's
+		// own bitmap word is read first, which spares the findBit call
+		// whenever the next event lies in that word's remaining slots.
 		idx := int((lc >> l0Shift) & l0Mask)
 		if v := w.bits[0][idx>>6] >> uint(idx&63); v != 0 {
 			idx += bits.TrailingZeros64(v)
