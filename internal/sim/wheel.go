@@ -215,28 +215,28 @@ func (w *Wheel) clearBit(level, idx int) {
 	}
 }
 
-// findBit returns the first set bit >= from at the given level, or -1.
+// findBit returns the first set bit >= from at the given level, or -1. It
+// is small enough for the compiler to inline: from's own bitmap word
+// answers whenever the next set bit lies in that word's remaining slots,
+// which is most level-0 searches, and the summary word otherwise.
 //
 //omxlint:hotpath
 func (w *Wheel) findBit(level, from int) int {
-	b := &w.bits[level]
 	word := from >> 6
-	if word >= len(b) {
-		return -1
+	if word < l0Slots/64 {
+		if v := w.bits[level][word] >> uint(from&63); v != 0 {
+			return from + bits.TrailingZeros64(v)
+		}
 	}
-	if v := b[word] >> uint(from&63); v != 0 {
-		return from + bits.TrailingZeros64(v)
-	}
-	// Resume from the summary word, masking off groups up to and including
-	// the word just checked. When that word is the 64th the mask shift
-	// reaches 64, which Go defines as 0 — the wrapped mask then covers
-	// everything, exactly as intended.
-	rest := w.sum[level] &^ (1<<uint(word+1) - 1)
+	// Resume from the summary word's groups after word. From the last
+	// word on the shift count is 64 or more, which Go defines to yield 0:
+	// nothing is found, exactly as intended.
+	rest := w.sum[level] >> uint(word+1)
 	if rest == 0 {
 		return -1
 	}
-	word = bits.TrailingZeros64(rest)
-	return word<<6 + bits.TrailingZeros64(b[word])
+	word += 1 + bits.TrailingZeros64(rest)
+	return word<<6 + bits.TrailingZeros64(w.bits[level][word])
 }
 
 // put files an event into a slot. Level-0 slots are kept in full (at, pri,
@@ -244,15 +244,30 @@ func (w *Wheel) findBit(level, from int) int {
 // levels stay in arrival order: their slots are only ever redistributed
 // (cascade), popped when they hold a single event (takeSingle), or
 // min-scanned in full (peekSlotMin), none of which needs a sorted list.
+// Every level-0 filing (push, cascade, overflow drain) comes through
+// here: into an empty slot it links head and tail and sets the slot's
+// bit, an in-order arrival appends at the tail, and only an arrival that
+// precedes the tail walks the slot (insertOrdered).
 //
 //omxlint:hotpath
 func (w *Wheel) put(level, idx int, ev *Event) {
-	if level == 0 {
-		w.l0[idx].insertOrdered(ev)
-	} else {
+	if level > 0 {
 		w.up[level-1][idx].pushBack(ev)
+		w.setBit(level, idx)
+		return
 	}
-	w.setBit(level, idx)
+	q := &w.l0[idx]
+	switch tail := q.tail; {
+	case tail == nil:
+		ev.next, ev.prev = nil, nil
+		q.head, q.tail = ev, ev
+		w.setBit(0, idx)
+	case before(tail, ev):
+		ev.next, ev.prev = nil, tail
+		tail.next, q.tail = ev, ev
+	default:
+		q.insertOrdered(ev)
+	}
 }
 
 // place files an event relative to base (the cursor, or the new epoch start
@@ -276,29 +291,12 @@ func (w *Wheel) place(base Time, ev *Event) {
 
 // push files a freshly stamped event. The engine never schedules before
 // now, and the cursor never runs ahead of now (invariant 3), so the event
-// lands at or after the cursor. Level 0 is filed inline (see the cost
-// model); only an out-of-order arrival walks its slot.
+// lands at or after the cursor.
 //
 //omxlint:hotpath
 func (w *Wheel) push(ev *Event) {
 	w.n++
-	if ev.at>>l1Shift != w.cur>>l1Shift {
-		w.place(w.cur, ev)
-		return
-	}
-	idx := int((ev.at >> l0Shift) & l0Mask)
-	q := &w.l0[idx]
-	switch tail := q.tail; {
-	case tail == nil:
-		ev.next, ev.prev = nil, nil
-		q.head, q.tail = ev, ev
-		w.setBit(0, idx)
-	case before(tail, ev):
-		ev.next, ev.prev = nil, tail
-		tail.next, q.tail = ev, ev
-	default:
-		q.insertOrdered(ev)
-	}
+	w.place(w.cur, ev)
 }
 
 // cascade redistributes a level-1 or level-2 slot one level down, releasing
@@ -338,16 +336,8 @@ func (w *Wheel) popLE(t Time) *Event {
 	for {
 		// Level 0: within lc's epoch the set slots are ordered by time
 		// and each holds its events in (at, pri, seq) order, so the first
-		// live event in index order is the global minimum. The cursor's
-		// own bitmap word is read first, which spares the findBit call
-		// whenever the next event lies in that word's remaining slots.
-		idx := int((lc >> l0Shift) & l0Mask)
-		if v := w.bits[0][idx>>6] >> uint(idx&63); v != 0 {
-			idx += bits.TrailingZeros64(v)
-		} else {
-			idx = w.findBit(0, idx)
-		}
-		for ; idx >= 0; idx = w.findBit(0, idx+1) {
+		// live event in index order is the global minimum.
+		for idx := w.findBit(0, int((lc>>l0Shift)&l0Mask)); idx >= 0; idx = w.findBit(0, idx+1) {
 			q := &w.l0[idx]
 			for ev := q.head; ev != nil; ev = q.head {
 				live := ev.afn != nil
