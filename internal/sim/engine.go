@@ -49,8 +49,8 @@
 // a 4-ary overflow heap for events beyond the ~275 s level-2 horizon.
 // Each level-0 slot keeps its events sorted in (at, pri, seq) order;
 // scheduling is O(1) for in-order arrivals (bitwise slot placement plus an
-// intrusive list append, inline for level 0, where nearly every event
-// lands) and dispatch is amortized O(1) (bitmap scans to the next
+// intrusive list append) and dispatch is amortized O(1) (bitmap scans to
+// the next
 // populated slot; a slot drains head-first with no rescan, so Engine.Step
 // dispatches its events back-to-back). Events cascade down at most two
 // levels as the clock approaches them. The wheel pops live events in the
@@ -102,9 +102,9 @@ type Event struct {
 	// as arg. A nil afn marks an event cancelled or recycled.
 	afn func(any)
 	arg any
-	// next and prev thread the intrusive list of a timing-wheel slot (prev
-	// only at level 0, see evList) while the event is queued, and next
-	// threads the engine's free list once it is recycled.
+	// next and prev thread the intrusive list of a timing-wheel slot (a
+	// list's head keeps its tail in prev; see evList) while the event is
+	// queued, and next threads the engine's free list once it is recycled.
 	next, prev *Event
 }
 

@@ -55,15 +55,15 @@ import "math/bits"
 //     leaves a slot).
 //  2. Level-0 slots are explicitly ordered: every insertion into level 0 —
 //     direct push, cascade, overflow drain — is an (at, pri, seq) ordered
-//     insert (evList.insertOrdered, whose empty-slot and append cases push
-//     files inline), so each slot list is sorted and its head is the slot
-//     minimum regardless of arrival order. A slot spans 64 timestamps, so
-//     this is what orders events within it; together with invariant 1 the
-//     first live head in slot order is the queue minimum. Arrivals mostly
-//     come in order (pushes carry monotonically increasing seq, most
-//     events of a slot are scheduled in time order, cascades preserve list
-//     order and the overflow heap drains in order), so the insert is
-//     usually an O(1) append.
+//     insert (put: an empty slot, an append after the tail, or else
+//     evList.insertOrdered), so each slot list is sorted and its head is
+//     the slot minimum regardless of arrival order. A slot spans 64
+//     timestamps, so this is what orders events within it; together with
+//     invariant 1 the first live head in slot order is the queue minimum.
+//     Arrivals mostly come in order (pushes carry monotonically increasing
+//     seq, most events of a slot are scheduled in time order, cascades
+//     preserve list order and the overflow heap drains in order), so the
+//     insert is usually an O(1) append.
 //  3. The cursor never outruns the commit point: it advances to a popped
 //     event's timestamp, or to a RunUntil horizon t that the engine then
 //     adopts as now, and cascades only touch slots that start at or before
@@ -77,11 +77,11 @@ import "math/bits"
 //
 // # Cost model
 //
-// push is O(1) for in-order arrivals, and a level-0 push, nearly every
-// one, is filed inline: one epoch compare, then into an empty slot a head
-// and tail store and two bitmap ORs, or an append after the slot's tail.
-// An arrival that precedes events already in its slot walks back from the
-// tail over the events it precedes, at most the slot's occupancy. popLE
+// push is O(1) for in-order arrivals: for a level-0 push, nearly every
+// one, an epoch compare, then into an empty slot a head store and two
+// bitmap ORs, or an append after the slot's tail. An arrival that
+// precedes events already in its slot walks back from the tail over the
+// events it precedes, at most the slot's occupancy. popLE
 // is amortized O(1): same-slot bursts drain from the cursor's slot without
 // rescanning (the slot's bit stays set while events remain — this is what
 // batches dispatch in Engine.Step and RunUntil), gaps are crossed with a
@@ -92,10 +92,13 @@ import "math/bits"
 // events more than ~275 virtual seconds ahead, which no workload in the
 // repository does.
 //
-// The slot lists and bitmaps are fixed-size arrays (~100 KB) held by value
-// in the Engine, so each engine is one allocation, and the level-0 paths
-// index them at constant offsets from the wheel with no slice header to
-// load.
+// The slot lists and bitmaps are fixed-size arrays held by value in the
+// Engine, so each engine is one allocation of 57,344 B (50,808 B rounded
+// up to 7 pages), and the level-0 paths index them at constant offsets
+// from the wheel with no slice header to load. A slot is one word, its
+// list's head (see evList): with a head and a tail per slot the engine
+// took 13 pages, and each engine built on pages the runtime had returned
+// to the OS faulted all 13 back in.
 type Wheel struct {
 	// cur is the committed cursor: every live event with at < cur has been
 	// popped. It only advances when popLE returns an event or a bounded
@@ -140,49 +143,46 @@ const (
 )
 
 // evList is an intrusive list of events threaded through Event.next, so
-// slot membership costs no allocation and no slice growth. Level-0 lists
-// also keep Event.prev, for insertOrdered's backward walk; the head's prev
-// is always nil there. Higher levels only append, drain and unlink
-// forward, and leave prev stale.
+// slot membership costs no allocation and no slice growth. A slot holds
+// only the list's head, and the head's prev is the tail: one word per
+// slot keeps the wheel's arrays at 48 KB, and the tail is one load away.
+// Level-0 lists also keep every other event's prev, for insertOrdered's
+// backward walk. Higher levels only append, drain and unlink forward, and
+// leave the other prevs stale.
 type evList struct {
-	head, tail *Event
+	head *Event
 }
 
 //omxlint:hotpath
 func (q *evList) pushBack(ev *Event) {
 	ev.next = nil
-	if q.tail == nil {
-		q.head = ev
-	} else {
-		q.tail.next = ev
+	h := q.head
+	if h == nil {
+		q.head, ev.prev = ev, ev
+		return
 	}
-	q.tail = ev
+	h.prev.next, h.prev = ev, ev
 }
 
-// insertOrdered places ev in (at, pri, seq) order, after the last event
-// that does not follow it. The walk starts at the tail: arrivals are
-// mostly in order, so the common case is a plain append, and an event
-// that precedes some of its slot usually precedes only the last few.
+// insertOrdered places ev, which precedes the tail of the non-empty list,
+// in (at, pri, seq) order after the last event that does not follow it.
+// The walk starts at the tail: an event that precedes some of its slot
+// usually precedes only the last few.
 //
 //omxlint:hotpath
 func (q *evList) insertOrdered(ev *Event) {
-	p := q.tail
-	for p != nil && before(ev, p) {
+	h := q.head
+	p := h.prev
+	for before(ev, p) {
+		if p == h {
+			ev.next, ev.prev = h, h.prev
+			h.prev, q.head = ev, ev
+			return
+		}
 		p = p.prev
 	}
-	ev.prev = p
-	if p == nil {
-		ev.next = q.head
-		q.head = ev
-	} else {
-		ev.next = p.next
-		p.next = ev
-	}
-	if ev.next == nil {
-		q.tail = ev
-	} else {
-		ev.next.prev = ev
-	}
+	ev.next, ev.prev = p.next, p
+	p.next, ev.next.prev = ev, ev
 }
 
 // popFront unlinks the head of a level-0 list and reports whether the
@@ -190,13 +190,13 @@ func (q *evList) insertOrdered(ev *Event) {
 //
 //omxlint:hotpath
 func (q *evList) popFront() bool {
-	next := q.head.next
+	h := q.head
+	next := h.next
 	q.head = next
 	if next == nil {
-		q.tail = nil
 		return true
 	}
-	next.prev = nil
+	next.prev = h.prev
 	return false
 }
 
@@ -257,14 +257,14 @@ func (w *Wheel) put(level, idx int, ev *Event) {
 		return
 	}
 	q := &w.l0[idx]
-	switch tail := q.tail; {
-	case tail == nil:
-		ev.next, ev.prev = nil, nil
-		q.head, q.tail = ev, ev
+	switch h := q.head; {
+	case h == nil:
+		ev.next, ev.prev = nil, ev
+		q.head = ev
 		w.setBit(0, idx)
-	case before(tail, ev):
-		ev.next, ev.prev = nil, tail
-		tail.next, q.tail = ev, ev
+	case before(h.prev, ev):
+		ev.next, ev.prev = nil, h.prev
+		h.prev.next, h.prev = ev, ev
 	default:
 		q.insertOrdered(ev)
 	}
@@ -307,7 +307,7 @@ func (w *Wheel) push(ev *Event) {
 func (w *Wheel) cascade(level, idx int) {
 	q := &w.up[level-1][idx]
 	ev := q.head
-	q.head, q.tail = nil, nil
+	q.head = nil
 	w.clearBit(level, idx)
 	for ev != nil {
 		next := ev.next
@@ -471,7 +471,7 @@ func (w *Wheel) takeSingle(level, idx int, t Time) *Event {
 		return nil
 	}
 	if ev.afn == nil {
-		q.head, q.tail = nil, nil
+		q.head = nil
 		w.clearBit(level, idx)
 		w.n--
 		w.eng.release(ev)
@@ -483,7 +483,7 @@ func (w *Wheel) takeSingle(level, idx int, t Time) *Event {
 		}
 		return nil
 	}
-	q.head, q.tail = nil, nil
+	q.head = nil
 	w.clearBit(level, idx)
 	w.n--
 	w.cur = ev.at
@@ -554,13 +554,16 @@ func (w *Wheel) peekSlotMin(level, idx int) *Event {
 	for ev := q.head; ev != nil; {
 		if ev.afn == nil {
 			next := ev.next
-			if prev == nil {
+			switch {
+			case prev == nil:
+				if next != nil {
+					next.prev = ev.prev
+				}
 				q.head = next
-			} else {
+			case next == nil:
+				prev.next, q.head.prev = nil, prev
+			default:
 				prev.next = next
-			}
-			if next == nil {
-				q.tail = prev
 			}
 			w.n--
 			w.eng.release(ev)

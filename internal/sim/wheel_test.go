@@ -48,6 +48,80 @@ func TestEventFitsSizeClass(t *testing.T) {
 	}
 }
 
+// TestEngineFootprint guards the engine's size: one allocation of at most
+// 7 heap pages of 8 KB. Building an engine zeroes all of it, so each page
+// past that is one more page fault whenever the runtime has returned the
+// memory to the OS, which a 13-page engine paid at most set-ups.
+func TestEngineFootprint(t *testing.T) {
+	if size := unsafe.Sizeof(Engine{}); size > 7<<13 {
+		t.Fatalf("Engine is %d bytes, want at most %d", size, 7<<13)
+	}
+}
+
+// checkSlotLinks fails t unless every slot's head keeps the list's tail
+// in prev and, at level 0, every other event's prev is its predecessor.
+func checkSlotLinks(t *testing.T, w *Wheel) {
+	t.Helper()
+	check := func(q *evList, level int) {
+		var last *Event
+		for p := q.head; p != nil; p = p.next {
+			if level == 0 && last != nil && p.prev != last {
+				t.Fatalf("level-0 event at %d: prev is not its predecessor", p.at)
+			}
+			last = p
+		}
+		if q.head != nil && q.head.prev != last {
+			t.Fatalf("level-%d slot headed at %d: the head's prev is not the tail", level, q.head.at)
+		}
+	}
+	for i := range w.l0 {
+		check(&w.l0[i], 0)
+	}
+	for l := range w.up {
+		for i := range w.up[l] {
+			check(&w.up[l][i], l+1)
+		}
+	}
+}
+
+// TestSlotListLinks checks the slot lists' links after every operation of
+// a random mix that files at every level, cancels, peeks (which unlinks
+// cancelled events from the middle and the ends of upper-level slots),
+// steps and runs to horizons.
+func TestSlotListLinks(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	e := NewEngine()
+	var live []*Event
+	scales := []int64{1 << l0Shift, 1 << l1Shift, 1 << l2Shift, 1 << topShift}
+	for op := 0; op < 3000; op++ {
+		switch r.Intn(6) {
+		case 0, 1, 2:
+			d := Time(r.Int63n(scales[r.Intn(len(scales))]))
+			live = append(live, e.After(d, func() {}))
+		case 3:
+			if len(live) > 0 {
+				k := r.Intn(len(live))
+				live[k].Cancel()
+				live = append(live[:k], live[k+1:]...)
+			}
+		case 4:
+			e.PeekTime()
+		case 5:
+			if r.Intn(2) == 0 {
+				e.Step()
+			} else {
+				e.RunUntil(e.Now() + Time(r.Int63n(scales[r.Intn(2)])))
+			}
+			live = live[:0] // fired handles may be recycled
+		}
+		checkSlotLinks(t, &e.wheel)
+	}
+	e.Run()
+	if n := e.Pending(); n != 0 {
+		t.Fatalf("%d events left after drain", n)
+	}
+}
+
 // TestWheelFiles200usAtLevel0: level 0 spans 1<<l1Shift ns (~262 µs), so
 // an event 200 µs ahead of a cursor at the start of a level-1 epoch is
 // filed straight into its level-0 slot, with nothing parked above it to
