@@ -50,12 +50,11 @@
 // Each level-0 slot keeps its events sorted in (at, pri, seq) order;
 // scheduling is O(1) for in-order arrivals (bitwise slot placement plus an
 // intrusive list append) and dispatch is amortized O(1) (bitmap scans to
-// the next
-// populated slot; a slot drains head-first with no rescan, so Engine.Step
-// dispatches its events back-to-back). Events cascade down at most two
-// levels as the clock approaches them. The wheel pops live events in the
-// exact (at, pri, seq) total order; the determinism argument lives with
-// the Wheel type, and the package tests check the order against an
+// the next populated slot; a slot drains head-first with no rescan, so
+// Engine.Step dispatches its events back-to-back). Events cascade down at
+// most two levels as the clock approaches them. The wheel pops live events
+// in the exact (at, pri, seq) total order; the determinism argument lives
+// with the Wheel type, and the package tests check the order against an
 // independent reference heap.
 //
 // # Per-packet queues

@@ -79,26 +79,25 @@ import "math/bits"
 //
 // push is O(1) for in-order arrivals: for a level-0 push, nearly every
 // one, an epoch compare, then into an empty slot a head store and two
-// bitmap ORs, or an append after the slot's tail. An arrival that
-// precedes events already in its slot walks back from the tail over the
-// events it precedes, at most the slot's occupancy. popLE
-// is amortized O(1): same-slot bursts drain from the cursor's slot without
-// rescanning (the slot's bit stays set while events remain — this is what
-// batches dispatch in Engine.Step and RunUntil), gaps are crossed with a
-// two-level bitmap (one summary word of non-empty 64-slot groups per
-// level, then one trailing-zeros scan), a sparse slot pops directly from
-// its level without cascading (takeSingle), and each event otherwise
-// cascades at most twice on its way down. The overflow heap only sees
-// events more than ~275 virtual seconds ahead, which no workload in the
-// repository does.
+// bitmap ORs, or an append after the slot's tail. An arrival that precedes
+// events already in its slot walks back from the tail over the events it
+// precedes, at most the slot's occupancy. popLE is amortized O(1):
+// same-slot bursts drain from the cursor's slot without rescanning (the
+// slot's bit stays set while events remain — this is what batches dispatch
+// in Engine.Step and RunUntil), gaps are crossed with a two-level bitmap
+// (one summary word of non-empty 64-slot groups per level, then one
+// trailing-zeros scan), a sparse slot pops directly from its level without
+// cascading (takeSingle), and each event otherwise cascades at most twice
+// on its way down. The overflow heap only sees events more than ~275
+// virtual seconds ahead, which no workload in the repository does.
 //
 // The slot lists and bitmaps are fixed-size arrays held by value in the
 // Engine, so each engine is one allocation of 57,344 B (50,808 B rounded
 // up to 7 pages), and the level-0 paths index them at constant offsets
 // from the wheel with no slice header to load. A slot is one word, its
-// list's head (see evList): with a head and a tail per slot the engine
-// took 13 pages, and each engine built on pages the runtime had returned
-// to the OS faulted all 13 back in.
+// list's head (see evList), because every page counts: building an
+// engine zeroes all of it, and each page the runtime had returned to the
+// OS faults back in (TestEngineFootprint).
 type Wheel struct {
 	// cur is the committed cursor: every live event with at < cur has been
 	// popped. It only advances when popLE returns an event or a bounded
@@ -215,10 +214,11 @@ func (w *Wheel) clearBit(level, idx int) {
 	}
 }
 
-// findBit returns the first set bit >= from at the given level, or -1. It
-// is small enough for the compiler to inline: from's own bitmap word
+// findBit returns the first set bit >= from at the given level, or -1.
+// Keep it within the compiler's inlining budget: from's own bitmap word
 // answers whenever the next set bit lies in that word's remaining slots,
-// which is most level-0 searches, and the summary word otherwise.
+// which is most level-0 searches, and an inlined check spares those the
+// call; the summary word answers otherwise.
 //
 //omxlint:hotpath
 func (w *Wheel) findBit(level, from int) int {
@@ -245,9 +245,10 @@ func (w *Wheel) findBit(level, from int) int {
 // (cascade), popped when they hold a single event (takeSingle), or
 // min-scanned in full (peekSlotMin), none of which needs a sorted list.
 // Every level-0 filing (push, cascade, overflow drain) comes through
-// here: into an empty slot it links head and tail and sets the slot's
-// bit, an in-order arrival appends at the tail, and only an arrival that
-// precedes the tail walks the slot (insertOrdered).
+// here: an event filed into an empty slot becomes its head (and its own
+// tail) and sets the slot's bit, an in-order arrival appends at the tail,
+// and only an arrival that precedes the tail walks the slot
+// (insertOrdered).
 //
 //omxlint:hotpath
 func (w *Wheel) put(level, idx int, ev *Event) {

@@ -51,7 +51,7 @@ func TestEventFitsSizeClass(t *testing.T) {
 // TestEngineFootprint guards the engine's size: one allocation of at most
 // 7 heap pages of 8 KB. Building an engine zeroes all of it, so each page
 // past that is one more page fault whenever the runtime has returned the
-// memory to the OS, which a 13-page engine paid at most set-ups.
+// memory to the OS.
 func TestEngineFootprint(t *testing.T) {
 	if size := unsafe.Sizeof(Engine{}); size > 7<<13 {
 		t.Fatalf("Engine is %d bytes, want at most %d", size, 7<<13)
