@@ -140,11 +140,8 @@ func run() int {
 		payload = p
 		fmt.Fprintf(os.Stderr, "[%d points from cache %s]\n", len(results), *cacheDir)
 	} else {
-		poolSize := grid.Workers(*workers)
-		if tracing {
-			poolSize = 1 // the shared recorder forces a single worker
-		}
-		fmt.Fprintf(os.Stderr, "sweeping %d points on %d workers\n", grid.Size(), poolSize)
+		fmt.Fprintf(os.Stderr, "sweeping %d points (%d simulations) on %d workers\n",
+			grid.Size(), grid.Simulations(), grid.Workers(*workers))
 		start := time.Now()
 		if results, err = sweep.Run(grid, *workers); err != nil {
 			return fail(err)

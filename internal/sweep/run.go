@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"openmxsim/internal/fabric"
+	"openmxsim/internal/nic"
 	"openmxsim/internal/trace"
 )
 
@@ -22,53 +24,55 @@ type Observer func(Result)
 // commands and experiments run has under a hundred.
 const maxPoints = 1 << 16
 
-// Run expands the grid and executes every point on a pool of workers
-// (workers <= 0 means GOMAXPROCS). Each point builds its own clusters from
-// its own seed, so points never share state and the pool is free to run
-// them in any order; the returned slice is nevertheless always in grid
-// order. A point that fails records its error in Result.Err instead of
-// aborting the sweep.
+// Run expands the grid and executes it on a pool of workers (workers <= 0
+// means GOMAXPROCS). Each simulation builds its own clusters from its
+// point's own seed, so simulations never share state and the pool is free
+// to run them in any order; the returned slice is nevertheless always in
+// grid order. Points that differ only in settings the simulator ignores
+// (see Point.simKey) share one simulation: the first such point runs, and
+// every later one gets a copy of its result under its own coordinates, so
+// the output equals what simulating every point would give. A grid with
+// a shared recorder (Trace) still simulates every point. A point that
+// fails records its error in Result.Err instead of aborting the sweep.
 func Run(g Grid, workers int) (Results, error) {
 	return RunContext(context.Background(), g, workers, nil)
 }
 
 // RunContext is Run under external supervision: ctx cancellation (or
-// deadline expiry) is checked between points only — a point that has
-// started always finishes, so every completed result is bit-identical to
-// the same point of an uncancelled run. On cancellation the full-length
-// result slice still comes back in grid order: completed points carry
-// their measurements, unstarted points carry the cancellation cause in
-// Result.Err, and the returned error wraps ctx's error (errors.Is
-// against context.Canceled / DeadlineExceeded works). obs, when non-nil,
-// observes every completed result as it lands (see Observer).
+// deadline expiry) is checked between simulations only — a simulation
+// that has started always finishes, so every completed result is
+// bit-identical to the same point of an uncancelled run. A point that
+// shares its twin's simulation completes with it. On cancellation the
+// full-length result slice still comes back in grid order: completed
+// points carry their measurements, unstarted points carry the
+// cancellation cause in Result.Err, and the returned error counts the
+// completed points and wraps ctx's error (errors.Is against
+// context.Canceled / DeadlineExceeded works). obs, when non-nil, observes
+// every completed result as it lands (see Observer), each shared result
+// right after the simulated point it copies.
 func RunContext(ctx context.Context, g Grid, workers int, obs Observer) (Results, error) {
 	g = g.normalized()
 	pts, err := g.validPoints()
 	if err != nil {
 		return nil, err
 	}
-	workers = g.workerBudget(workers)
-	if g.Trace != nil {
-		// A shared event recorder claims one run index per point; a single
-		// worker keeps that claim order equal to grid order, so trace
-		// bytes are deterministic (results were order-independent anyway).
-		workers = 1
-	}
+	firsts, next := g.simulations(pts)
+	workers = g.workerBudget(workers, len(firsts))
 
 	results := make(Results, len(pts))
-	// The jobs channel is buffered to the full point count and filled
+	// The jobs channel is buffered to the full simulation count and filled
 	// before any worker starts: dispatch is a single non-blocking drain, so
 	// a worker never stalls on handoff with a producer goroutine (an
 	// unbuffered channel would serialize every job with the producer's
 	// send, which dominates short points on wide machines).
-	jobs := make(chan int, len(pts))
-	for i := range pts {
+	jobs := make(chan int, len(firsts))
+	for _, i := range firsts {
 		jobs <- i
 	}
 	close(jobs)
-	// done[i] flags points that actually ran (each index is claimed by
-	// exactly one worker, so plain bool writes never race); completed
-	// counts them for the cancellation error.
+	// done[i] flags points that completed (each simulation, with the
+	// points that share it, is claimed by exactly one worker, so plain bool
+	// writes never race); completed counts them for the cancellation error.
 	done := make([]bool, len(pts))
 	var completed atomic.Int64
 	var wg sync.WaitGroup
@@ -80,19 +84,25 @@ func RunContext(ctx context.Context, g Grid, workers int, obs Observer) (Results
 			// size slice per point; reusing the worker's buffer keeps the
 			// dispatch loop allocation-free.
 			var scratch pointScratch
-			for i := range jobs {
-				// The supervision seam: cancellation is observed here,
-				// between points, never inside one — the worker abandons
-				// the rest of its queue and the started points' results
-				// stay untouched.
-				if ctx.Err() != nil {
-					return
-				}
-				results[i] = runPoint(g, pts[i], &scratch)
+			finish := func(i int, res Result) {
+				results[i] = res
 				done[i] = true
 				completed.Add(1)
 				if obs != nil {
-					obs(results[i])
+					obs(res)
+				}
+			}
+			for i := range jobs {
+				// The supervision seam: cancellation is observed here,
+				// between simulations, never inside one — the worker
+				// abandons the rest of its queue and the started points'
+				// results stay untouched.
+				if ctx.Err() != nil {
+					return
+				}
+				finish(i, runPoint(g, pts[i], &scratch))
+				for j := next[i]; j != 0; j = next[j] {
+					finish(j, pts[j].twinOf(results[i]))
 				}
 			}
 		}()
@@ -117,6 +127,75 @@ func cancelledResult(p Point, cause error) Result {
 	res := p.result(p.Config().Nodes)
 	res.Err = fmt.Sprintf("cancelled: %v", cause)
 	return res
+}
+
+// simKey is the part of p that decides its simulation: points with equal
+// keys run the same clusters and measure the same result. It is the point
+// itself with the index zeroed and only the settings cleared that the
+// simulator never reads, so any other field, a future axis included,
+// splits points by default.
+func (p Point) simKey() Point {
+	p.Index = 0
+	if p.Strategy == nic.StrategyDisabled {
+		// nic.newCoalescer builds a disabledCoalescer, which never reads
+		// the coalescing delay.
+		p.Delay = 0
+	}
+	if p.DropProb == 0 {
+		// Point.Config reads Burst only to build the loss scenario of a
+		// point with DropProb > 0.
+		p.Burst = 0
+	}
+	return p
+}
+
+// twinOf returns twin, the result of a point with p's simulation key,
+// under p's own coordinates. The keys differ at most in the delay and the
+// burst length, and in the sign of a zero drop probability (-0 and 0 are
+// one key but encode differently), so those and the index are what change.
+// The series is cloned so that no two results share a backing array.
+func (p Point) twinOf(twin Result) Result {
+	own := p.result(twin.Nodes)
+	twin.Index, twin.DelayUS = own.Index, own.DelayUS
+	twin.DropProb, twin.Burst = own.DropProb, own.Burst
+	twin.Series = slices.Clone(twin.Series)
+	return twin
+}
+
+// simulations returns the points Run simulates, the first with each
+// simulation key in grid order, and links every point to the next one
+// with the same key: next[i] is that point's index, or 0 when none
+// follows (point 0 is always simulated, so no link leads to it).
+func (g Grid) simulations(pts []Point) (firsts, next []int) {
+	firsts, next = make([]int, 0, len(pts)), make([]int, len(pts))
+	last := make(map[Point]int, len(pts))
+	for i, p := range pts {
+		// A shared recorder promises one timeline per point, so a traced
+		// grid keys each point by itself, index included.
+		k := p
+		if g.Trace == nil {
+			k = p.simKey()
+		}
+		if j, ok := last[k]; ok {
+			next[j] = i
+		} else {
+			firsts = append(firsts, i)
+		}
+		last[k] = i
+	}
+	return firsts, next
+}
+
+// Simulations reports how many simulations Run performs for the grid:
+// one per distinct simulation key, or one per point when Trace is set. A
+// grid too large for Run to accept reports its Size.
+func (g Grid) Simulations() int {
+	g = g.normalized()
+	if n := g.Size(); n > maxPoints {
+		return n
+	}
+	firsts, _ := g.simulations(g.Points())
+	return len(firsts)
 }
 
 // Validate returns the error RunContext would return for g before running
@@ -165,15 +244,21 @@ func (g Grid) validPoints() ([]Point, error) {
 	return pts, nil
 }
 
-// workerBudget resolves the worker-pool size for the normalized grid g:
-// non-positive means GOMAXPROCS, and the pool never exceeds the point
-// count. A point's rate stream (Rate) shards, so each worker then drives
-// up to Par simulation goroutines and the real concurrency is workers x
-// Par; the pool shrinks so the product stays within the machine rather
-// than letting the two knobs silently multiply past it (oversubscription
-// slows every point's barrier windows at once). The ping-pong always runs
-// serially (RunPingPong), so without Rate, Par costs no workers.
-func (g Grid) workerBudget(workers int) int {
+// workerBudget resolves the worker-pool size for the normalized grid g
+// and its simulation count: non-positive means GOMAXPROCS, and the pool
+// never exceeds the simulations. A point's rate stream (Rate) shards, so
+// each worker then drives up to Par simulation goroutines and the real
+// concurrency is workers x Par; the pool shrinks so the product stays
+// within the machine rather than letting the two knobs silently multiply
+// past it (oversubscription slows every point's barrier windows at once).
+// The ping-pong always runs serially (RunPingPong), so without Rate, Par
+// costs no workers. A shared event recorder (Trace) claims one run index
+// per point; a single worker keeps that claim order equal to grid order,
+// so trace bytes are deterministic.
+func (g Grid) workerBudget(workers, sims int) int {
+	if g.Trace != nil {
+		return 1
+	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -182,8 +267,8 @@ func (g Grid) workerBudget(workers int) int {
 			workers = cap
 		}
 	}
-	if n := g.Size(); workers > n {
-		workers = n
+	if workers > sims {
+		workers = sims
 	}
 	if workers < 1 {
 		workers = 1
@@ -194,7 +279,7 @@ func (g Grid) workerBudget(workers int) int {
 // Workers reports the worker-pool size Run will use for this grid and
 // requested worker count (omxsweep's banner mirrors it).
 func (g Grid) Workers(workers int) int {
-	return g.normalized().workerBudget(workers)
+	return g.normalized().workerBudget(workers, g.Simulations())
 }
 
 // pointScratch is per-worker reusable state for runPoint. Workers own one

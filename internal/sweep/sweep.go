@@ -29,8 +29,9 @@ import (
 type Grid struct {
 	// Strategies is the NIC coalescing strategy axis.
 	Strategies []nic.Strategy
-	// Delays is the coalescing-delay axis (ignored by StrategyDisabled,
-	// which is still expanded literally so delay columns stay rectangular).
+	// Delays is the coalescing-delay axis. StrategyDisabled ignores it but
+	// is still expanded literally, so delay columns stay rectangular; Run
+	// simulates a Disabled point once and reports it at every delay.
 	Delays []sim.Time
 	// Sizes is the message-size axis in bytes.
 	Sizes []int
@@ -59,7 +60,8 @@ type Grid struct {
 	DropProb []float64
 	// Burst is the mean loss-burst-length axis paired with DropProb:
 	// values > 1 cluster the losses into bursts of that mean length;
-	// <= 1 is uniform (Bernoulli) loss. Ignored at DropProb 0.
+	// <= 1 is uniform (Bernoulli) loss. Ignored at DropProb 0, where Run
+	// simulates a point once and reports it at every burst length.
 	Burst []float64
 
 	// Iters is the ping-pong iteration count per point (default 30).
@@ -94,10 +96,12 @@ type Grid struct {
 	// cache key.
 	Sample sim.Time
 	// Trace, when non-nil, additionally records every point's discrete
-	// event timeline into this recorder (one run per point, in
+	// event timeline into this recorder (one run per cluster, in
 	// grid-expansion order). An execution knob, not part of the payload:
 	// Run forces a single worker so run indices follow point order, and
-	// callers writing trace files must bypass result caches themselves.
+	// simulates every point, even those that share a simulation, so each
+	// has its own timeline. Callers writing trace files must bypass
+	// result caches themselves.
 	Trace *trace.Recorder `json:"-"`
 }
 

@@ -113,13 +113,13 @@ func TestGridParClamp(t *testing.T) {
 // TestWorkerBudget pins the workers x par oversubscription clamp for
 // grids whose rate streams shard: an explicit worker count survives at par 1 (users
 // may oversubscribe on purpose), but any par > 1 shrinks the pool so the
-// product stays within GOMAXPROCS, and the result never leaves [1, points].
+// product stays within GOMAXPROCS, and the result never leaves [1, simulations].
 func TestWorkerBudget(t *testing.T) {
 	max := runtime.GOMAXPROCS(0)
-	budget := func(workers, par, points int) int {
-		g := Grid{Sizes: make([]int, points), Rate: true}.normalized()
+	budget := func(workers, par, sims int) int {
+		g := Grid{Rate: true}.normalized()
 		g.Par = par
-		return g.workerBudget(workers)
+		return g.workerBudget(workers, sims)
 	}
 	if got := budget(6, 1, 100); got != 6 {
 		t.Errorf("explicit workers=6 par=1 became %d", got)
@@ -128,7 +128,7 @@ func TestWorkerBudget(t *testing.T) {
 		t.Errorf("default workers = %d, want %d", got, want)
 	}
 	if got := budget(7, 1, 3); got != 3 {
-		t.Errorf("workers not capped at point count: %d", got)
+		t.Errorf("workers not capped at simulation count: %d", got)
 	}
 	for _, par := range []int{2, max + 1, 4 * max} {
 		got := budget(100, par, 1000)

@@ -2,7 +2,12 @@ package sweep
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"openmxsim/internal/host"
@@ -104,5 +109,76 @@ func TestTracedGridSimulatesEveryPoint(t *testing.T) {
 	// Rate is on: each point builds a ping-pong cluster and a rate cluster.
 	if got, want := g.Trace.Runs(), 2*len(rs); got != want {
 		t.Errorf("recorder holds %d runs, want %d (two clusters for each of %d points)", got, want, len(rs))
+	}
+}
+
+// TestCancelCompletesTwinsOfFinishedPoint cancels from the observer after
+// the first result. Point 0 (Disabled, 0 us, 1 B) shares its simulation
+// with points 2 and 4 (25 and 75 us), so all three complete, in that
+// order and with point 0's measurements; every other point carries the
+// cancellation, and the error counts the three.
+func TestCancelCompletesTwinsOfFinishedPoint(t *testing.T) {
+	us := sim.Microsecond
+	g := Grid{
+		Strategies: []nic.Strategy{nic.StrategyDisabled},
+		Delays:     []sim.Time{0, 25 * us, 75 * us},
+		Sizes:      []int{1, 4096},
+		Iters:      3,
+	}
+	full, err := Run(g, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var seen []int // one worker calls the observer, so no lock
+	rs, err := RunContext(ctx, g, 1, func(r Result) {
+		seen = append(seen, r.Index)
+		cancel()
+	})
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "cancelled after 3 of 6 points") {
+		t.Fatalf("error = %v, want a cancellation after 3 of 6 points", err)
+	}
+	if want := []int{0, 2, 4}; !slices.Equal(seen, want) {
+		t.Errorf("observer saw points %v, want %v", seen, want)
+	}
+	for i, r := range rs {
+		if i%2 == 0 {
+			if !reflect.DeepEqual(r, full[i]) {
+				t.Errorf("point %d differs from the uncancelled run:\n got %+v\nwant %+v", i, r, full[i])
+			}
+		} else if !strings.HasPrefix(r.Err, "cancelled: ") {
+			t.Errorf("point %d ran after the cancel (err %q)", i, r.Err)
+		}
+	}
+}
+
+// TestWorkersNeverExceedSimulations: the pool is capped by the
+// simulations Run performs, not by the points it reports.
+func TestWorkersNeverExceedSimulations(t *testing.T) {
+	g := twinGrid()
+	// Timeout: 3 delays x 2 sizes x 3 loss settings (clean, and 2% at
+	// two burst lengths); Disabled the same at one delay.
+	if got, want := g.Simulations(), 18+6; got != want {
+		t.Errorf("Simulations() = %d, want %d of %d points", got, want, g.Size())
+	}
+	g.Strategies = []nic.Strategy{nic.StrategyDisabled}
+	g.Sizes = []int{1}
+	g.DropProb = nil
+	if got := g.Simulations(); got != 1 {
+		t.Errorf("Disabled at one size: Simulations() = %d, want 1", got)
+	}
+	if got := g.Workers(8); got != 1 {
+		t.Errorf("one simulation on %d workers", got)
+	}
+	g.Trace = trace.New(trace.Config{})
+	if got, want := g.Simulations(), g.Size(); got != want {
+		t.Errorf("traced grid: Simulations() = %d, want every one of %d points", got, want)
+	}
+	if got := g.Workers(8); got != 1 {
+		t.Errorf("traced grid on %d workers, want 1", got)
+	}
+	if got, want := (Grid{Sizes: make([]int, maxPoints+1)}).Simulations(), maxPoints+1; got != want {
+		t.Errorf("oversized grid: Simulations() = %d, want its size %d", got, want)
 	}
 }
