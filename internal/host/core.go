@@ -20,8 +20,8 @@ import (
 // WakeupLatency before its handler starts (Section IV-B1).
 //
 // Both contexts recycle their bookkeeping records (userTask, irqItem)
-// through per-core free lists and schedule through pre-bound callbacks, so
-// submitting work allocates nothing in steady state. Use the Arg variants
+// through per-core sim.FreeLists and schedule through pre-bound callbacks,
+// so submitting work allocates nothing in steady state. Use the Arg variants
 // with a long-lived callback to keep the caller side allocation-free too.
 type Core struct {
 	host *Host
@@ -38,9 +38,9 @@ type Core struct {
 	sleepTimer *sim.Event
 	idleSince  sim.Time
 
-	// Free lists and callbacks bound once at construction; see newCore.
-	taskFree     []*userTask
-	irqFree      []*irqItem
+	// Record free lists, and callbacks bound once in newCore.
+	tasks        sim.FreeList[userTask]
+	irqs         sim.FreeList[irqItem]
 	irqFireFn    func(any)
 	completeFn   func(any)
 	sleepEnterFn func()
@@ -99,43 +99,6 @@ type irqItem struct {
 // not allocate; only the caller's closure (if any) does.
 func callFunc(x any) { x.(func())() }
 
-func (c *Core) getTask(dur sim.Time, fn func(any), arg any) *userTask {
-	var t *userTask
-	if n := len(c.taskFree); n > 0 {
-		t = c.taskFree[n-1]
-		c.taskFree[n-1] = nil
-		c.taskFree = c.taskFree[:n-1]
-	} else {
-		t = &userTask{}
-	}
-	t.remaining = dur
-	t.fn = fn
-	t.arg = arg
-	return t
-}
-
-func (c *Core) putTask(t *userTask) {
-	t.fn = nil
-	t.arg = nil
-	t.timer = nil
-	t.running = false
-	c.taskFree = append(c.taskFree, t)
-}
-
-func (c *Core) getIRQItem(fn func(any), arg any) *irqItem {
-	var it *irqItem
-	if n := len(c.irqFree); n > 0 {
-		it = c.irqFree[n-1]
-		c.irqFree[n-1] = nil
-		c.irqFree = c.irqFree[:n-1]
-	} else {
-		it = &irqItem{}
-	}
-	it.fn = fn
-	it.arg = arg
-	return it
-}
-
 // SubmitIRQ queues interrupt-context work of the given duration; fn runs at
 // its virtual completion time. The boolean wasInterrupt marks the item as a
 // hardware interrupt delivery for wake-up/statistics purposes (NAPI
@@ -169,14 +132,14 @@ func (c *Core) SubmitIRQArg(dur sim.Time, wasInterrupt bool, fn func(any), arg a
 	c.irqDepth++
 	c.irqBusyUntil = start + dur
 	c.Stats.IRQBusy += dur
-	eng.ScheduleArg(start+dur, c.irqFireFn, c.getIRQItem(fn, arg))
+	it := c.irqs.Get()
+	it.fn, it.arg = fn, arg
+	eng.ScheduleArg(start+dur, c.irqFireFn, it)
 }
 
 func (c *Core) irqFire(it *irqItem) {
 	fn, arg := it.fn, it.arg
-	it.fn = nil
-	it.arg = nil
-	c.irqFree = append(c.irqFree, it)
+	c.irqs.Put(it)
 	fn(arg)
 	c.irqDone()
 }
@@ -208,7 +171,8 @@ func (c *Core) SubmitUserArg(dur sim.Time, fn func(any), arg any) {
 	if dur < 0 {
 		panic(fmt.Sprintf("host: negative user work %d", dur))
 	}
-	t := c.getTask(dur, fn, arg)
+	t := c.tasks.Get()
+	t.remaining, t.fn, t.arg = dur, fn, arg
 	c.cancelSleepTimer()
 	now := c.host.eng.Now()
 	if c.sleeping {
@@ -234,11 +198,10 @@ func (c *Core) runUser(now sim.Time) {
 
 func (c *Core) userComplete(t *userTask) {
 	c.Stats.UserBusy += t.remaining
-	t.remaining = 0
 	c.curUser = nil
 	c.Stats.UserTasks++
 	fn, arg := t.fn, t.arg
-	c.putTask(t)
+	c.tasks.Put(t)
 	fn(arg)
 	now := c.host.eng.Now()
 	if c.curUser == nil && c.irqDepth == 0 {
@@ -305,11 +268,11 @@ func (c *Core) Poll(active bool) {
 	}
 }
 
-// Busy reports whether the core currently has queued or running work.
 // Host returns the host this core belongs to — the hook rank placement
 // uses to find a core's engine under the sharded runtime.
 func (c *Core) Host() *Host { return c.host }
 
+// Busy reports whether the core currently has queued or running work.
 func (c *Core) Busy() bool {
 	return c.irqDepth > 0 || c.curUser != nil || c.userQ.Len() > 0
 }

@@ -39,7 +39,7 @@ func TestAdaptiveWindowStartsAtTimeZero(t *testing.T) {
 func (r *rig) planted(marked ...bool) {
 	q := r.nic.queues[0]
 	for _, m := range marked {
-		d := r.nic.getDesc()
+		d := r.nic.descs.Get()
 		d.Marked = m
 		d.Queue = 0
 		q.completed.PushBack(d)

@@ -72,7 +72,7 @@ type Stats struct {
 
 // NIC is one interface attached to a host and a fabric port.
 //
-// Completion-ring descriptors are recycled through a per-NIC free list and
+// Completion-ring descriptors are recycled through a per-NIC sim.FreeList and
 // every hot-path continuation (firmware -> DMA -> completion -> NAPI poll)
 // is a callback bound once at construction, so receiving and transmitting a
 // frame allocates nothing in steady state. A received frame's reference is
@@ -94,7 +94,7 @@ type NIC struct {
 	sendBusyUntil sim.Time
 	inflight      int // frames accepted but whose DMA has not completed
 
-	descFree  []*RxDesc
+	descs     sim.FreeList[RxDesc]
 	dmaDoneFn func(any)
 	txWireFn  func(any)
 
@@ -167,23 +167,6 @@ func New(eng *sim.Engine, p *params.Params, h *host.Host, sw *fabric.Switch, mac
 	return n
 }
 
-// getDesc takes a completion-ring descriptor from the free list.
-func (n *NIC) getDesc() *RxDesc {
-	if k := len(n.descFree); k > 0 {
-		d := n.descFree[k-1]
-		n.descFree[k-1] = nil
-		n.descFree = n.descFree[:k-1]
-		return d
-	}
-	return &RxDesc{}
-}
-
-// putDesc recycles a fully processed descriptor.
-func (n *NIC) putDesc(d *RxDesc) {
-	*d = RxDesc{}
-	n.descFree = append(n.descFree, d)
-}
-
 // SetDriver binds the host-side packet consumer.
 func (n *NIC) SetDriver(d Driver) { n.drv = d }
 
@@ -233,7 +216,7 @@ func (n *NIC) ReceiveFrame(f *wire.Frame) {
 	start := max(n.fwBusyUntil, n.dmaBusyUntil)
 	n.dmaBusyUntil = start + n.p.NIC.DMATime(f.PayloadLen+wire.HeaderLen)
 
-	d := n.getDesc()
+	d := n.descs.Get()
 	d.Frame = f
 	d.Queue = q.idx
 	d.ArrivedAt = now
@@ -309,7 +292,7 @@ func (n *NIC) pollStep(q *rxQueue) {
 		if d.Frame != nil {
 			d.Frame.Release()
 		}
-		n.putDesc(d)
+		n.descs.Put(d)
 	}
 	if q.completed.Len() == 0 || q.polled >= n.p.Host.NAPIBudget {
 		q.pollCore.SubmitIRQArg(n.p.Host.NAPIPollEnd, false, q.pollEndFn, nil)
@@ -346,7 +329,7 @@ func (n *NIC) SendFrame(f *wire.Frame) {
 func (n *NIC) txWire(f *wire.Frame) {
 	n.sw.Send(f)
 	q := n.queues[0] // the tx ring reports through queue 0
-	d := n.getDesc()
+	d := n.descs.Get()
 	d.TxDone = true
 	d.Queue = q.idx
 	d.DMADoneAt = n.eng.Now()

@@ -75,7 +75,7 @@ type channel struct {
 
 // txPacket is one sequenced packet: the retained frame plus the callback to
 // run when it is handed to the NIC. Records recycle through the stack's
-// free list.
+// sim.FreeList.
 type txPacket struct {
 	frame *wire.Frame
 	seq   uint32
@@ -145,7 +145,8 @@ func (c *channel) send(f *wire.Frame, fn func(any), arg any) {
 		c.failSend(f, fn, arg, c.failed)
 		return
 	}
-	pk := c.stack().getTx(f, c.nextSeq, fn, arg)
+	pk := c.stack().txs.Get()
+	pk.frame, pk.seq, pk.fn, pk.arg = f, c.nextSeq, fn, arg
 	f.Header.Seq = pk.seq
 	c.nextSeq++
 	c.txq.PushBack(pk)
@@ -263,19 +264,19 @@ func (c *channel) teardown(err error) {
 		// time, only the retention reference remains.
 		pk := c.retained.PopFront()
 		pk.frame.Release()
-		s.putTx(pk)
+		s.txs.Put(pk)
 	}
 	for c.txq.Len() > 0 {
 		pk := c.txq.PopFront()
 		c.failSend(pk.frame, pk.fn, pk.arg, err)
-		s.putTx(pk)
+		s.txs.Put(pk)
 	}
 	for c.mediumPending.Len() > 0 {
 		op := c.mediumPending.PopFront()
 		if op.h != nil {
 			op.h.fail(err)
 		}
-		c.ep.putOp(op)
+		c.ep.ops.Put(op)
 	}
 }
 
@@ -315,7 +316,7 @@ func (c *channel) onAck(cum uint32) {
 	for c.retained.Len() > 0 && int32(c.retained.At(0).seq-cum) < 0 {
 		pk := c.retained.PopFront()
 		pk.frame.Release() // retention reference
-		s.putTx(pk)
+		s.txs.Put(pk)
 	}
 	if c.resendTimer != nil {
 		c.resendTimer.Cancel()

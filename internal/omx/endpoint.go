@@ -98,7 +98,7 @@ const (
 )
 
 // event is one entry of the driver-to-library ring. Events recycle through
-// a per-endpoint free list once the library has applied them.
+// the endpoint's sim.FreeList once the library has applied them.
 type event struct {
 	kind       evKind
 	src        Addr
@@ -125,7 +125,7 @@ type unexpMsg struct {
 
 // sendOp carries one posted operation (send or shared-memory transfer)
 // through the user-context cost charge to its protocol action, replacing a
-// per-call closure. Records recycle through a per-endpoint free list.
+// per-call closure. Records recycle through the endpoint's sim.FreeList.
 type sendOp struct {
 	dst   Addr
 	match uint64
@@ -161,9 +161,9 @@ type Endpoint struct {
 	posted     sim.Queue[*RecvHandle]
 	unexpected sim.Queue[*unexpMsg]
 
-	// Free lists and once-bound callbacks for the hot paths.
-	evFree        []*event
-	opFree        []*sendOp
+	// Record free lists and once-bound callbacks for the hot paths.
+	events        sim.FreeList[event]
+	ops           sim.FreeList[sendOp]
 	applyFn       func(any)
 	popOneFn      func(any)
 	matchOrPostFn func(any)
@@ -185,7 +185,7 @@ func newEndpoint(s *Stack, id uint8, core *host.Core) *Endpoint {
 	e.applyFn = func(x any) {
 		ev := x.(*event)
 		e.applyEvent(ev)
-		e.putEvent(ev)
+		e.events.Put(ev)
 		e.popOne()
 	}
 	e.popOneFn = func(any) { e.popOne() }
@@ -196,36 +196,6 @@ func newEndpoint(s *Stack, id uint8, core *host.Core) *Endpoint {
 	e.shmFn = func(x any) { e.shmPost(x.(*sendOp)) }
 	e.pullRetryFn = func(x any) { e.pullRetry(x.(*pullBlock)) }
 	return e
-}
-
-func (e *Endpoint) getEvent() *event {
-	if n := len(e.evFree); n > 0 {
-		ev := e.evFree[n-1]
-		e.evFree[n-1] = nil
-		e.evFree = e.evFree[:n-1]
-		return ev
-	}
-	return &event{}
-}
-
-func (e *Endpoint) putEvent(ev *event) {
-	*ev = event{}
-	e.evFree = append(e.evFree, ev)
-}
-
-func (e *Endpoint) getOp() *sendOp {
-	if n := len(e.opFree); n > 0 {
-		op := e.opFree[n-1]
-		e.opFree[n-1] = nil
-		e.opFree = e.opFree[:n-1]
-		return op
-	}
-	return &sendOp{}
-}
-
-func (e *Endpoint) putOp(op *sendOp) {
-	*op = sendOp{}
-	e.opFree = append(e.opFree, op)
 }
 
 // Addr returns this endpoint's fabric address.
@@ -348,7 +318,7 @@ func completeSendFn(x any) { x.(*SendHandle).complete() }
 func (e *Endpoint) sendSmall(dst Addr, match uint64, data []byte, size int, h *SendHandle) {
 	p := e.stack.p
 	cost := p.Lib.SendPost + p.Driver.TxPacket + e.stack.hst.P.CopyTime(size)
-	op := e.getOp()
+	op := e.ops.Get()
 	op.dst, op.match, op.data, op.size, op.h = dst, match, data, size, h
 	e.core.SubmitUserArg(cost, e.smallFn, op)
 }
@@ -357,7 +327,7 @@ func (e *Endpoint) sendSmall(dst Addr, match uint64, data []byte, size int, h *S
 // single eager packet.
 func (e *Endpoint) smallPost(op *sendOp) {
 	dst, match, data, size, h := op.dst, op.match, op.data, op.size, op.h
-	e.putOp(op)
+	e.ops.Put(op)
 	typ := wire.TypeSmall
 	if size <= 32 {
 		typ = wire.TypeTiny
@@ -385,7 +355,7 @@ func (e *Endpoint) sendMedium(dst Addr, match uint64, data []byte, size int, h *
 	// The sender copies medium data into the driver's send ring: per-frag
 	// driver work plus the kernel copy, all in user (syscall) context.
 	cost := p.Lib.SendPost + sim.Time(frags)*p.Driver.TxPacket + e.stack.hst.P.CopyTime(size)
-	op := e.getOp()
+	op := e.ops.Get()
 	op.dst, op.match, op.data, op.size, op.frags, op.h = dst, match, data, size, frags, h
 	e.core.SubmitUserArg(cost, e.mediumFn, op)
 }
@@ -408,7 +378,7 @@ func (e *Endpoint) mediumPost(op *sendOp) {
 func mediumLastFn(x any) {
 	op := x.(*sendOp)
 	e, ch, h := op.ch.ep, op.ch, op.h
-	e.putOp(op)
+	e.ops.Put(op)
 	h.complete()
 	ch.mediumDone()
 }
@@ -473,7 +443,7 @@ func (e *Endpoint) emitMediumFrags(op *sendOp) {
 func (e *Endpoint) sendLarge(dst Addr, match uint64, data []byte, size int, h *SendHandle) {
 	p := e.stack.p
 	cost := p.Lib.SendPost + p.Driver.TxPacket
-	op := e.getOp()
+	op := e.ops.Get()
 	op.dst, op.match, op.data, op.size, op.h = dst, match, data, size, h
 	e.core.SubmitUserArg(cost, e.largeFn, op)
 }
@@ -481,7 +451,7 @@ func (e *Endpoint) sendLarge(dst Addr, match uint64, data []byte, size int, h *S
 // largePost announces a large message with a rendezvous.
 func (e *Endpoint) largePost(op *sendOp) {
 	dst, match, data, size, h := op.dst, op.match, op.data, op.size, op.h
-	e.putOp(op)
+	e.ops.Put(op)
 	c := e.channelFor(dst)
 	if c.failed != nil {
 		// The channel already gave up: the Notify this send would wait
@@ -505,7 +475,7 @@ func (e *Endpoint) largePost(op *sendOp) {
 func (e *Endpoint) shmSend(dst *Endpoint, match uint64, data []byte, size int, h *SendHandle) {
 	p := e.stack.p
 	cost := p.Lib.SendPost + p.Lib.CopyTime(size) + p.Lib.ShmLatency
-	op := e.getOp()
+	op := e.ops.Get()
 	op.local, op.match, op.data, op.size, op.h = dst, match, data, size, h
 	e.core.SubmitUserArg(cost, e.shmFn, op)
 }
@@ -513,10 +483,10 @@ func (e *Endpoint) shmSend(dst *Endpoint, match uint64, data []byte, size int, h
 // shmPost delivers an intra-node message straight into the peer's ring.
 func (e *Endpoint) shmPost(op *sendOp) {
 	dst, match, data, size, h := op.local, op.match, op.data, op.size, op.h
-	e.putOp(op)
+	e.ops.Put(op)
 	e.stack.Stats.ShmSent++
 	h.complete()
-	ev := dst.getEvent()
+	ev := dst.events.Get()
 	ev.kind = evEager
 	ev.src = e.Addr()
 	ev.match = match
@@ -546,7 +516,7 @@ func cloneData(d []byte) []byte {
 func (e *Endpoint) postEvent(ev *event) bool {
 	if e.ring.Len() >= e.stack.p.Proto.EventRingEntries {
 		e.stack.Stats.EventRingFull++
-		e.putEvent(ev)
+		e.events.Put(ev)
 		return false
 	}
 	e.ring.PushBack(ev)

@@ -286,7 +286,7 @@ func (e *Endpoint) handlePullReply(ps *pullState, f *wire.Frame, core *host.Core
 		ps.ch.send(e.stack.newFrame(e.stack.MAC(), ps.src.MAC, nh, nil, 0), nil, nil)
 
 		// Tell the application.
-		ev := e.getEvent()
+		ev := e.events.Get()
 		ev.kind = evPullDone
 		ev.src = ps.src
 		ev.rh = ps.rh

@@ -90,7 +90,7 @@ func (e *Endpoint) rxApply(f *wire.Frame, core *host.Core, ps *pullState) {
 			return
 		}
 		e.stack.Stats.SmallRecvd++
-		ev := e.getEvent()
+		ev := e.events.Get()
 		ev.kind = evEager
 		ev.src = src
 		ev.match = h.Match
@@ -113,7 +113,7 @@ func (e *Endpoint) rxApply(f *wire.Frame, core *host.Core, ps *pullState) {
 		if !c.acceptSeq(h.Seq) {
 			return
 		}
-		ev := e.getEvent()
+		ev := e.events.Get()
 		ev.kind = evMediumFrag
 		ev.src = src
 		ev.match = h.Match
@@ -137,7 +137,7 @@ func (e *Endpoint) rxApply(f *wire.Frame, core *host.Core, ps *pullState) {
 		if !c.acceptSeq(h.Seq) {
 			return
 		}
-		ev := e.getEvent()
+		ev := e.events.Get()
 		ev.kind = evRendezvous
 		ev.src = src
 		ev.match = h.Match
@@ -164,7 +164,7 @@ func (e *Endpoint) rxApply(f *wire.Frame, core *host.Core, ps *pullState) {
 		if !c.acceptSeq(h.Seq) {
 			return
 		}
-		ev := e.getEvent()
+		ev := e.events.Get()
 		ev.kind = evNotifyRecvd
 		ev.src = src
 		ev.msgID = h.MsgID

@@ -80,9 +80,9 @@ type Stats struct {
 //
 // The stack's hot paths recycle everything per-packet: frames come from a
 // pool (its own by default, a cluster-shared one via SetFramePool),
-// reliable-channel tx records and receive-dispatch records sit on per-stack
-// free lists, and the dispatch/ack callbacks are bound once here, so a
-// steady-state packet allocates nothing on send or receive.
+// reliable-channel tx, receive-dispatch and paced-send records sit on
+// per-stack sim.FreeLists, and the dispatch/ack callbacks are bound once
+// here, so a steady-state packet allocates nothing on send or receive.
 type Stack struct {
 	eng  *sim.Engine
 	p    *params.Params
@@ -98,10 +98,10 @@ type Stack struct {
 	// costs a cache-line bounce on the shared descriptors (Section III-B).
 	lastRxCore int
 
-	pool      *wire.Pool
-	txFree    []*txPacket
-	rxFree    []*rxDispatch
-	pacedFree []*pacedSend
+	pool  *wire.Pool
+	txs   sim.FreeList[txPacket]
+	rxs   sim.FreeList[rxDispatch]
+	paced sim.FreeList[pacedSend]
 
 	rxEffectFn   func(any)
 	invalidFn    func(any)
@@ -148,8 +148,7 @@ func NewStack(eng *sim.Engine, p *params.Params, hst *host.Host, n *nic.NIC, rng
 	s.rxEffectFn = func(x any) {
 		d := x.(*rxDispatch)
 		ep, f, core, ps, done := d.ep, d.f, d.core, d.ps, d.done
-		d.ep, d.f, d.core, d.ps, d.done = nil, nil, nil, nil, nil
-		s.rxFree = append(s.rxFree, d)
+		s.rxs.Put(d)
 		ep.rxApply(f, core, ps)
 		done()
 	}
@@ -165,8 +164,7 @@ func NewStack(eng *sim.Engine, p *params.Params, hst *host.Host, n *nic.NIC, rng
 	s.pacedFn = func(x any) {
 		p := x.(*pacedSend)
 		ch, f, fn, arg := p.ch, p.f, p.fn, p.arg
-		p.ch, p.f, p.fn, p.arg = nil, nil, nil, nil
-		s.pacedFree = append(s.pacedFree, p)
+		s.paced.Put(p)
 		ch.send(f, fn, arg)
 	}
 	n.SetDriver(s)
@@ -185,53 +183,10 @@ func (s *Stack) newFrame(src, dst wire.MAC, h wire.Header, payload []byte, paylo
 	return s.pool.Get(src, dst, h, payload, payloadLen)
 }
 
-func (s *Stack) getTx(f *wire.Frame, seq uint32, fn func(any), arg any) *txPacket {
-	var pk *txPacket
-	if n := len(s.txFree); n > 0 {
-		pk = s.txFree[n-1]
-		s.txFree[n-1] = nil
-		s.txFree = s.txFree[:n-1]
-	} else {
-		pk = &txPacket{}
-	}
-	pk.frame = f
-	pk.seq = seq
-	pk.fn = fn
-	pk.arg = arg
-	return pk
-}
-
-func (s *Stack) putTx(pk *txPacket) {
-	pk.frame = nil
-	pk.fn = nil
-	pk.arg = nil
-	s.txFree = append(s.txFree, pk)
-}
-
-func (s *Stack) getRxDispatch(ep *Endpoint, f *wire.Frame, core *host.Core, ps *pullState, done func()) *rxDispatch {
-	var d *rxDispatch
-	if n := len(s.rxFree); n > 0 {
-		d = s.rxFree[n-1]
-		s.rxFree[n-1] = nil
-		s.rxFree = s.rxFree[:n-1]
-	} else {
-		d = &rxDispatch{}
-	}
-	d.ep, d.f, d.core, d.ps, d.done = ep, f, core, ps, done
-	return d
-}
-
 // schedulePaced queues ch.send(f, fn, arg) at virtual time at without
 // allocating a closure per fragment.
 func (s *Stack) schedulePaced(at sim.Time, ch *channel, f *wire.Frame, fn func(any), arg any) {
-	var p *pacedSend
-	if n := len(s.pacedFree); n > 0 {
-		p = s.pacedFree[n-1]
-		s.pacedFree[n-1] = nil
-		s.pacedFree = s.pacedFree[:n-1]
-	} else {
-		p = &pacedSend{}
-	}
+	p := s.paced.Get()
 	p.ch, p.f, p.fn, p.arg = ch, f, fn, arg
 	s.eng.ScheduleArg(at, s.pacedFn, p)
 }
@@ -307,7 +262,9 @@ func (s *Stack) Process(d *nic.RxDesc, core *host.Core, done func()) {
 	}
 
 	cost, ps := ep.rxCost(f, cold)
-	core.SubmitIRQArg(cost+bounce, false, s.rxEffectFn, s.getRxDispatch(ep, f, core, ps, done))
+	rd := s.rxs.Get()
+	rd.ep, rd.f, rd.core, rd.ps, rd.done = ep, f, core, ps, done
+	core.SubmitIRQArg(cost+bounce, false, s.rxEffectFn, rd)
 }
 
 // rxCopyTime is the kernel copy cost for received eager payload into the
