@@ -272,11 +272,7 @@ func (c *streamCoalescer) onDMAComplete(d *RxDesc, pending int) {
 	if pending == 0 {
 		if d.Marked || c.deferred {
 			c.deferred = false
-			if d.Marked {
-				c.raiseMarked()
-			} else {
-				c.raiseDeferred()
-			}
+			c.raiseMarked()
 			return
 		}
 		c.timeoutCoalescer.onDMAComplete(d, pending)
@@ -295,18 +291,10 @@ func (c *streamCoalescer) onDMAComplete(d *RxDesc, pending int) {
 func (c *streamCoalescer) onBacklog() {
 	if c.deferred {
 		c.deferred = false
-		c.raiseDeferred()
+		c.raiseMarked()
 		return
 	}
 	c.omxCoalescer.onBacklog()
-}
-
-func (c *streamCoalescer) raiseDeferred() {
-	if c.timer != nil {
-		c.timer.Cancel()
-		c.timer = nil
-	}
-	c.q.nic.requestInterrupt(c.q, causeMarked)
 }
 
 // adaptiveCoalescer adjusts the timeout with the observed packet rate
