@@ -52,7 +52,6 @@ func run() int {
 	maxPerClient := flag.Int("max-per-client", 4, "per-client in-flight job cap; beyond it submissions are shed with 429")
 	executors := flag.Int("executors", 1, "jobs run concurrently (each parallelizes internally via -workers)")
 	workers := flag.Int("workers", 0, "worker goroutines per job (0 = GOMAXPROCS)")
-	par := cliflag.Par()
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "SIGTERM drain deadline before running jobs are force-cancelled")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof profiling handlers under /debug/pprof/")
 	flag.Parse()
@@ -80,7 +79,6 @@ func run() int {
 		MaxPerClient: *maxPerClient,
 		JobTimeout:   cfgTimeout,
 		Workers:      *workers,
-		Par:          *par,
 		Executors:    *executors,
 		Log:          logger,
 	})

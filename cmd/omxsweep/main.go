@@ -51,7 +51,6 @@ func run() int {
 	iters := flag.Int("iters", 30, "ping-pong iterations per point")
 	rate := flag.Bool("rate", false, "also measure message rate at every point")
 	workers := flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-	par := cliflag.Par()
 	cacheDir := cliflag.CacheDir()
 	qframes := flag.Int("qframes", 0, "switch egress queue bound in frames (0 = unbounded)")
 	out := flag.String("out", "-", "JSON output path ('-' = stdout, '' = none)")
@@ -99,8 +98,6 @@ func run() int {
 	if err != nil {
 		return fail(err)
 	}
-	grid.Par = *par
-
 	// A timeline (-trace) or merged series file (-sample-out) needs one
 	// recorder spanning every point; per-point sampling alone does not (each
 	// point records privately, keeping the worker pool parallel).
@@ -115,8 +112,8 @@ func run() int {
 
 	// The crash-safe result cache omxserve uses, shared: a sweep run here
 	// pre-warms the server, a server run answers this CLI instantly. The
-	// key is the canonical grid — execution shape (-workers, -par) never
-	// splits it, because results are byte-identical across both.
+	// key is the canonical grid — the execution shape (-workers) never
+	// splits it, because results are byte-identical at any worker count.
 	var cache *serve.Cache
 	if *cacheDir != "" {
 		if cache, err = serve.OpenCache(*cacheDir, serve.ResultsVersion); err != nil {

@@ -28,7 +28,8 @@ import (
 // Par registers the canonical -par flag on the default flag set: the
 // number of shard engines per simulated cluster (cluster.Config
 // .Parallelism). 1 is the serial reference engine; higher values produce
-// bit-identical results.
+// bit-identical results. Only omxsim and omxbench register it: sweeps
+// (omxsweep, omxserve) and the tuner run every point serially.
 func Par() *int {
 	return flag.Int("par", 1, "simulation shards per cluster (1 = serial reference engine; results are identical at any value)")
 }

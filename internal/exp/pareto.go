@@ -36,7 +36,6 @@ func paretoSpace(opts Options) ([]nic.Strategy, []sim.Time, sweep.Grid) {
 		Rate:        true,
 		RateWarmup:  5 * sim.Millisecond,
 		RateMeasure: 20 * sim.Millisecond,
-		Par:         opts.Par,
 	}
 	if opts.Quick {
 		g.Iters = 6

@@ -22,9 +22,11 @@ type Options struct {
 	// Quick shrinks durations/iterations for tests and CI (the shapes
 	// survive, the precision does not).
 	Quick bool
-	// Par shards every cluster the experiment builds across this many
-	// engines (cluster.Config.Parallelism). Reports are bit-identical at
-	// any value; only wall-clock time changes. Zero means 1 (serial).
+	// Par shards the clusters the experiment builds itself across this
+	// many engines (cluster.Config.Parallelism). Points built by a sweep
+	// (pareto, autotune, resilience, sweep) run serially, as sweep.Run
+	// always does. Reports are bit-identical at any value; only
+	// wall-clock time changes. Zero means 1 (serial).
 	Par int
 	// Trace, when non-nil, records event timelines and sampled metric
 	// series from the experiments that support telemetry (incast,

@@ -35,7 +35,6 @@ func Resilience(opts Options) *Report {
 		DropProb: []float64{0, 0.005, 0.02},
 		Burst:    []float64{1, 8},
 		Iters:    20,
-		Par:      opts.Par,
 	}
 	if opts.Quick {
 		g.Strategies = []nic.Strategy{nic.StrategyTimeout, nic.StrategyOpenMX}

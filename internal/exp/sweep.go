@@ -24,7 +24,6 @@ func Sweep(opts Options) *Report {
 		Sizes:  []int{1, 128, 4 << 10, 64 << 10},
 		Seeds:  []uint64{opts.Seed},
 		Iters:  30,
-		Par:    opts.Par,
 	}
 	if opts.Quick {
 		g.Strategies = []nic.Strategy{

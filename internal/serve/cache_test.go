@@ -85,21 +85,6 @@ func TestCacheKeySeparatesVersionKindSpec(t *testing.T) {
 	}
 }
 
-// TestCacheGridCanonicalSharesKey pins the contract that machine-shape
-// knobs never split the cache: the same axes at different parallelism
-// hash to one key.
-func TestCacheGridCanonicalSharesKey(t *testing.T) {
-	c := openTestCache(t)
-	g := sweep.Grid{Iters: 5}
-	gp := g
-	gp.Par = 8
-	k1, _ := c.Key("sweep", g.Canonical())
-	k2, _ := c.Key("sweep", gp.Canonical())
-	if k1 != k2 {
-		t.Fatal("Par split the cache key; canonicalization must strip execution shape")
-	}
-}
-
 func corruptEntry(t *testing.T, c *Cache, key string, mutate func([]byte) []byte) {
 	t.Helper()
 	path := c.entryPath(key)

@@ -60,10 +60,9 @@ type Config struct {
 	MaxPerClient int
 	// JobTimeout is the per-job deadline (default 10 minutes; < 0 = none).
 	JobTimeout time.Duration
-	// Workers and Par are handed to the executors (sweep.Run semantics;
-	// Par only reaches sweep jobs, and shards only their -qframes points);
-	// they shape execution speed, never results.
-	Workers, Par int
+	// Workers is handed to the executors (sweep.Run semantics); it
+	// shapes execution speed, never results.
+	Workers int
 	// Executors is the number of jobs run concurrently (default 1: many
 	// clients share one warm executor; each job parallelizes internally).
 	Executors int
@@ -263,7 +262,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	grid.Par = s.cfg.Par
 	run := func(ctx context.Context, obs sweep.Observer) ([]byte, error) {
 		rs, err := sweep.RunContext(ctx, grid, s.cfg.Workers, obs)
 		if err != nil {

@@ -246,26 +246,15 @@ func (g Grid) validPoints() ([]Point, error) {
 
 // workerBudget resolves the worker-pool size for the normalized grid g
 // and its simulation count: non-positive means GOMAXPROCS, and the pool
-// never exceeds the simulations. A point's rate stream (Rate) shards, so
-// each worker then drives up to Par simulation goroutines and the real
-// concurrency is workers x Par; the pool shrinks so the product stays
-// within the machine rather than letting the two knobs silently multiply
-// past it (oversubscription slows every point's barrier windows at once).
-// The ping-pong always runs serially (RunPingPong), so without Rate, Par
-// costs no workers. A shared event recorder (Trace) claims one run index
-// per point; a single worker keeps that claim order equal to grid order,
-// so trace bytes are deterministic.
+// never exceeds the simulations. A shared event recorder (Trace) claims
+// one run index per point; a single worker keeps that claim order equal to
+// grid order, so trace bytes are deterministic.
 func (g Grid) workerBudget(workers, sims int) int {
 	if g.Trace != nil {
 		return 1
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if g.Par > 1 && g.Rate {
-		if cap := runtime.GOMAXPROCS(0) / g.Par; workers > cap {
-			workers = cap
-		}
 	}
 	if workers > sims {
 		workers = sims
@@ -294,7 +283,6 @@ type pointScratch struct {
 // single bad point cannot take down a long sweep.
 func runPoint(g Grid, p Point, scratch *pointScratch) (res Result) {
 	cfg := p.Config()
-	cfg.Parallelism = g.Par
 	if g.QFrames > 0 {
 		cfg.Topology = fabric.Topology{
 			Kind:              fabric.TopologyOutputQueued,

@@ -108,14 +108,10 @@ func TestRunContextPreCancelled(t *testing.T) {
 }
 
 // TestCanonicalGrid pins the cache-key form: equivalent spellings of the
-// same sweep canonicalize identically, and the machine-shaped Par knob
-// never reaches the key.
+// same sweep canonicalize identically.
 func TestCanonicalGrid(t *testing.T) {
 	a := Grid{Sizes: []int{128}}.Canonical()
-	b := Grid{Sizes: []int{128}, Par: 8, Iters: 30}.Canonical()
-	if a.Par != 0 || b.Par != 0 {
-		t.Errorf("Canonical kept Par: %d, %d (want 0, 0)", a.Par, b.Par)
-	}
+	b := Grid{Sizes: []int{128}, Iters: 30}.Canonical()
 	if a.Iters != b.Iters || len(a.Strategies) != len(b.Strategies) {
 		t.Errorf("equivalent grids canonicalized differently: %+v vs %+v", a, b)
 	}

@@ -12,7 +12,6 @@ package sweep
 
 import (
 	"math"
-	"runtime"
 
 	"openmxsim/internal/chaos"
 	"openmxsim/internal/cluster"
@@ -76,15 +75,6 @@ type Grid struct {
 	// (defaults 10 ms and 50 ms of virtual time, matching the public
 	// MessageRate).
 	RateWarmup, RateMeasure sim.Time
-	// Par is the per-point simulation parallelism (cluster.Config
-	// .Parallelism): every point's rate stream shards across this many
-	// engines, while its ping-pong always runs serially. normalized clamps
-	// it to [1, NumCPU], and with Rate set Run shrinks its worker pool so
-	// workers x Par never oversubscribes the machine. For wide grids of
-	// small points the default (1) is optimal — cross-point workers beat
-	// intra-point sharding; Par earns its keep on grids of few, large
-	// (many-node, congested) points.
-	Par int
 	// QFrames, when positive, bounds every point's switch egress queues to
 	// this many frames with drop-tail (the output-queued topology,
 	// omxsim's -qframes knob); 0 leaves them unbounded.
@@ -211,27 +201,15 @@ func (g Grid) normalized() Grid {
 	if g.RateMeasure <= 0 {
 		g.RateMeasure = 50 * sim.Millisecond
 	}
-	// Clamp per-point parallelism to the machine: a zero/negative request
-	// means "default" (serial), and more shards than cores can only add
-	// barrier overhead, never speed — don't let a misconfigured grid
-	// silently oversubscribe.
-	if g.Par < 1 {
-		g.Par = 1
-	}
-	if max := runtime.NumCPU(); g.Par > max {
-		g.Par = max
-	}
 	return g
 }
 
 // Canonical returns the grid in content-address form: every empty axis
 // filled with its default — so equivalent spellings of the same sweep
-// collide on one cache key — and the execution-only Par knob cleared,
-// because sweep output is bit-identical at any parallelism and worker
-// count and must not split a result cache by machine shape.
+// collide on one cache key — and the execution-only Trace recorder
+// cleared.
 func (g Grid) Canonical() Grid {
 	g = g.normalized()
-	g.Par = 0
 	g.Trace = nil
 	return g
 }

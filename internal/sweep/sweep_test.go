@@ -91,77 +91,28 @@ func TestGridNormalizedEdgeCases(t *testing.T) {
 	}
 }
 
-// TestGridParClamp pins the parallelism clamp in normalized: zero and
-// negative requests mean the serial default, anything beyond the machine's
-// core count is pulled back to NumCPU, and in-range values survive.
-func TestGridParClamp(t *testing.T) {
-	ncpu := runtime.NumCPU()
-	for _, tc := range []struct{ in, want int }{
-		{0, 1},
-		{-4, 1},
-		{1, 1},
-		{ncpu, ncpu},
-		{ncpu + 1, ncpu},
-		{8 * ncpu, ncpu},
-	} {
-		if got := (Grid{Par: tc.in}).normalized().Par; got != tc.want {
-			t.Errorf("Par %d normalized to %d, want %d", tc.in, got, tc.want)
-		}
-	}
-}
-
-// TestWorkerBudget pins the workers x par oversubscription clamp for
-// grids whose rate streams shard: an explicit worker count survives at par 1 (users
-// may oversubscribe on purpose), but any par > 1 shrinks the pool so the
-// product stays within GOMAXPROCS, and the result never leaves [1, simulations].
+// TestWorkerBudget pins the worker-pool size: an explicit worker count
+// survives (users may oversubscribe on purpose), a non-positive one means
+// GOMAXPROCS, and the result never leaves [1, simulations].
 func TestWorkerBudget(t *testing.T) {
 	max := runtime.GOMAXPROCS(0)
-	budget := func(workers, par, sims int) int {
-		g := Grid{Rate: true}.normalized()
-		g.Par = par
-		return g.workerBudget(workers, sims)
+	budget := func(workers, sims int) int {
+		return Grid{Rate: true}.normalized().workerBudget(workers, sims)
 	}
-	if got := budget(6, 1, 100); got != 6 {
-		t.Errorf("explicit workers=6 par=1 became %d", got)
+	if got := budget(6, 100); got != 6 {
+		t.Errorf("explicit workers=6 became %d", got)
 	}
-	if got, want := budget(0, 1, 1000), min(max, 1000); got != want {
+	if got, want := budget(0, 1000), min(max, 1000); got != want {
 		t.Errorf("default workers = %d, want %d", got, want)
 	}
-	if got := budget(7, 1, 3); got != 3 {
+	if got, want := budget(-3, 1000), min(max, 1000); got != want {
+		t.Errorf("negative workers = %d, want the default %d", got, want)
+	}
+	if got := budget(7, 3); got != 3 {
 		t.Errorf("workers not capped at simulation count: %d", got)
 	}
-	for _, par := range []int{2, max + 1, 4 * max} {
-		got := budget(100, par, 1000)
-		if got < 1 {
-			t.Fatalf("par %d: budget %d < 1", par, got)
-		}
-		if got > 1 && got*par > max {
-			t.Errorf("par %d: workers %d oversubscribes %d cores", par, got, max)
-		}
-	}
-	if got := budget(-3, 4*max, 50); got != 1 {
-		t.Errorf("overcommitted par must degrade to 1 worker, got %d", got)
-	}
-}
-
-// TestParShrinksPoolOnlyForRateStreams: a point's rate stream shards on
-// any fabric, while its ping-pong always runs serially, so Par costs
-// workers exactly when Rate is set. A latency-only grid at Par 2 keeps the
-// Par 1 pool, bounded queues or not.
-func TestParShrinksPoolOnlyForRateStreams(t *testing.T) {
-	sizes := []int{0, 1, 64, 128, 512, 1024, 4096, 65536}
-	serial := Grid{Sizes: sizes, Par: 1}.Workers(0)
-	for _, q := range []int{0, 64} {
-		if got := (Grid{Sizes: sizes, Par: 2, QFrames: q}).Workers(0); got != serial {
-			t.Errorf("latency only, qframes %d, Par 2: %d workers, want the Par 1 pool of %d", q, got, serial)
-		}
-	}
-	par := min(2, runtime.NumCPU()) // normalized clamps Par to the machine
-	want := max(1, min(runtime.GOMAXPROCS(0)/par, len(sizes)))
-	for _, q := range []int{0, 64} {
-		if got := (Grid{Sizes: sizes, Par: 2, QFrames: q, Rate: true}).Workers(0); got != want {
-			t.Errorf("rate, qframes %d, Par 2: %d workers, want %d", q, got, want)
-		}
+	if got := budget(7, 0); got != 1 {
+		t.Errorf("pool for no simulations = %d, want 1", got)
 	}
 }
 
@@ -247,43 +198,6 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 	if !bytes.Equal(js, jp) {
 		t.Fatalf("worker count changed the output:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", js, jp)
-	}
-}
-
-// TestSweepDeterministicAcrossPar is the same contract along the other
-// axis: per-point simulation parallelism must not change a byte of output.
-// The rate stream is the harness that actually runs sharded (the
-// ping-pong always uses the serial reference); QFrames puts drop-tail
-// queues on the ports it shards through.
-func TestSweepDeterministicAcrossPar(t *testing.T) {
-	g := Grid{
-		Sizes:       []int{128, 4 << 10},
-		Seeds:       []uint64{1, 7},
-		Iters:       3,
-		Rate:        true,
-		RateWarmup:  2 * sim.Millisecond,
-		RateMeasure: 5 * sim.Millisecond,
-		QFrames:     64,
-	}
-	serial, err := Run(g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Par = 4
-	sharded, err := Run(g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	js, err := serial.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	jp, err := sharded.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(js, jp) {
-		t.Fatalf("parallelism changed the output:\n--- par=1 ---\n%s\n--- par=4 ---\n%s", js, jp)
 	}
 }
 
