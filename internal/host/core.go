@@ -38,7 +38,7 @@ type Core struct {
 	sleepTimer *sim.Event
 	idleSince  sim.Time
 
-	// Record free lists, and callbacks bound once in newCore.
+	// Record free lists, and the callbacks bound once in newCore.
 	tasks        sim.FreeList[userTask]
 	irqs         sim.FreeList[irqItem]
 	irqFireFn    func(any)
