@@ -244,11 +244,11 @@ func (g Grid) validPoints() ([]Point, error) {
 	return pts, nil
 }
 
-// workerBudget resolves the worker-pool size for the normalized grid g
-// and its simulation count: non-positive means GOMAXPROCS, and the pool
-// never exceeds the simulations. A shared event recorder (Trace) claims
-// one run index per point; a single worker keeps that claim order equal to
-// grid order, so trace bytes are deterministic.
+// workerBudget resolves the worker-pool size for grid g and its
+// simulation count: non-positive means GOMAXPROCS, and the pool never
+// exceeds the simulations. A shared event recorder (Trace) claims one run
+// index per point; a single worker keeps that claim order equal to grid
+// order, so trace bytes are deterministic.
 func (g Grid) workerBudget(workers, sims int) int {
 	if g.Trace != nil {
 		return 1
@@ -268,7 +268,7 @@ func (g Grid) workerBudget(workers, sims int) int {
 // Workers reports the worker-pool size Run will use for this grid and
 // requested worker count (omxsweep's banner mirrors it).
 func (g Grid) Workers(workers int) int {
-	return g.normalized().workerBudget(workers, g.Simulations())
+	return g.workerBudget(workers, g.Simulations())
 }
 
 // pointScratch is per-worker reusable state for runPoint. Workers own one

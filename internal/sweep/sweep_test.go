@@ -97,7 +97,7 @@ func TestGridNormalizedEdgeCases(t *testing.T) {
 func TestWorkerBudget(t *testing.T) {
 	max := runtime.GOMAXPROCS(0)
 	budget := func(workers, sims int) int {
-		return Grid{Rate: true}.normalized().workerBudget(workers, sims)
+		return Grid{}.workerBudget(workers, sims)
 	}
 	if got := budget(6, 100); got != 6 {
 		t.Errorf("explicit workers=6 became %d", got)
